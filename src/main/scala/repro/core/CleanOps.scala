@@ -28,17 +28,18 @@ object CleanOps {
     * subset is marked checked.
     */
   def cleanSelectFd(state: DataFrame, answerTids: DataFrame, fd: Fd,
-                    maxIter: Int = 20): SelectOutcome = {
-    val relaxed = Relaxation.relax(state, answerTids, fd, maxIter)
-    val unchecked = state
-      .filter(!ProbData.checkedBy(fd.id))
-      .select(tidC)
-      .join(relaxed.tids, tidC)
-      .materialized
-    val fixes = FdRepair.computeFixes(state, unchecked, fd)
-    val newState = FdRepair.applyFixes(state, fixes, unchecked, fd)
-      .materialized
-    SelectOutcome(newState, relaxed, fixes)
+                    maxIter: Int = 20): SelectOutcome =
+    cleanSelectFd(FdGraph.collect(state, fd, FdGraph.memberOf(answerTids)), maxIter)
+
+  /** `clean_σ` on the rule's value graph collected with the answer as
+    * its members: one materialized rewrite of the graph's state.
+    */
+  def cleanSelectFd(g: FdGraph, maxIter: Int): SelectOutcome = {
+    val closure = Relaxation.closure(g, maxIter)
+    val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
+    val fixes = FdRepair.fixesOf(g, s => closure.contains(s) && !s.checked, subset)
+    SelectOutcome(FdRepair.rewrite(g.state, g.fd, fixes, subset).materialized,
+      Relaxation.relaxed(g, closure), fixes)
   }
 
   /** Probabilistic equi-join (§4): a pair qualifies iff the candidate

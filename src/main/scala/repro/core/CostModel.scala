@@ -1,8 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.core.ProbData.MaterializeOps
+import org.apache.spark.sql.functions.lit
 
 /** Cost-based decision between incremental and full cleaning (§5.2).
   *
@@ -33,22 +32,18 @@ object CostModel {
         * skip violation checks for values outside any dirty group
         * (§7.1 "Increasing number of violations").
         */
-      dirtyLhs: DataFrame)
+      dirtyLhs: Set[String])
 
-  /** Precomputes [[FdStats]] with one lhs group-by and one rhs group-by. */
-  def fdStats(state: DataFrame, fd: Fd): FdStats = {
-    val g = state.select(
-      concat_ws(Relaxation.Sep, fd.lhs.map(col): _*).as("lv"),
-      col(fd.rhs).cast("string").as("rv"))
-    val byL = g.groupBy("lv")
-      .agg(countDistinct("rv").as("ndr"), count(lit(1)).as("sz"))
-    val dirty = byL.filter(col("ndr") > 1).materialized
-    val agg = dirty.agg(
-      coalesce(sum("sz"), lit(0L)).as("eps"),
-      coalesce(count(lit(1)), lit(0L)).as("groups"),
-      coalesce(avg("ndr"), lit(0.0)).as("p")).collect().head
-    FdStats(state.count(), agg.getLong(0), agg.getLong(1), agg.getDouble(2),
-      dirty.select("lv"))
+  /** Precomputes [[FdStats]] from the rule's value graph. */
+  def fdStats(state: DataFrame, fd: Fd): FdStats =
+    statsOf(FdGraph.collect(state, fd, lit(false)))
+
+  /** [[FdStats]] of the whole state the graph was collected from. */
+  def statsOf(g: FdGraph): FdStats = {
+    val dirty = g.dirtyGroups(_ => true)
+    val ndr = dirty.values.map(_.keys.count(_ != null))
+    FdStats(g.count(_ => true), dirty.values.map(_.values.sum).sum, dirty.size,
+      if (dirty.isEmpty) 0.0 else ndr.sum.toDouble / dirty.size, dirty.keySet)
   }
 
   /** Offline (full-cleaning) cost of §5.2.1 plus executing q queries:

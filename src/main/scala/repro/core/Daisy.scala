@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.ProbData.MaterializeOps
@@ -92,10 +92,6 @@ final class Daisy(val spark: SparkSession,
     states(table) = st
   }
 
-  private def tracker(table: String, fd: Fd): CostModel.Tracker =
-    trackers.getOrElseUpdate((table, fd.id),
-      new CostModel.Tracker(CostModel.fdStats(states(table), fd)))
-
   // -------------------------------------------------------------------
   // Query execution
   // -------------------------------------------------------------------
@@ -165,47 +161,41 @@ final class Daisy(val spark: SparkSession,
   /** Runs one left-side cleaning step; returns its report. */
   private def runSelectStep(table: String, step: Planner.CleaningStep,
                             where: Seq[Pred]): RuleReport = step.rule match {
-    case fd: Fd =>
-      if (step.placement == Planner.BeforeFilter) {
-        val dirty = fullCleanRemaining(table, fd)
-        RuleReport(table, fd.id, 0, 0, dirty, skippedByPruning = false,
-          switchedToFull = true, None)
-      } else {
-        val st = states(table)
-        val answer = st.filter(ProbData.qualifiesAll(st, where)).select(tidC)
-        cleanSelectFd(table, fd, answer, where)
-      }
+    case fd: Fd if step.placement == Planner.BeforeFilter => fullCleanReport(table, fd)
+    case fd: Fd => cleanSelectFd(table, fd, ProbData.qualifiesAll(states(table), where), where)
     case dc: InequalityDc =>
       val st = states(table)
-      val answer = st.filter(ProbData.qualifiesAll(st, where)).select(tidC)
-      cleanSelectDc(table, dc, answer)
+      cleanSelectDc(table, dc, st.filter(ProbData.qualifiesAll(st, where)).select(tidC))
   }
 
+  /** Runs one right-side cleaning step; returns its report and the tids
+    * of the right tuples with a probabilistic rule attribute.
+    */
   private def runJoinSideStep(table: String, step: Planner.CleaningStep,
-                              qualTids: DataFrame): (RuleReport, DataFrame) =
-    step.rule match {
-      case fd: Fd =>
-        val rep = cleanSelectFd(table, fd, qualTids)
-        val changed = states(table)
-          .filter(ProbData.isDirty(fd.rhs) || fd.lhs.map(ProbData.isDirty).reduce(_ || _))
-          .select(tidC).materialized
-        (rep, changed)
-      case dc: InequalityDc =>
-        val rep = cleanSelectDc(table, dc, qualTids)
-        val changed = states(table)
-          .filter(dc.attrs.map(ProbData.isDirty).reduce(_ || _))
-          .select(tidC).materialized
-        (rep, changed)
+                              qualTids: DataFrame): (RuleReport, DataFrame) = {
+    val rep = step.rule match {
+      case fd: Fd if step.placement == Planner.BeforeFilter => fullCleanReport(table, fd)
+      case fd: Fd => cleanSelectFd(table, fd, FdGraph.memberOf(qualTids))
+      case dc: InequalityDc => cleanSelectDc(table, dc, qualTids)
     }
+    val changed = states(table).filter(step.rule.attrs.map(ProbData.isDirty).reduce(_ || _))
+      .select(tidC).materialized
+    (rep, changed)
+  }
 
   // -------------------------------------------------------------------
   // FD path
   // -------------------------------------------------------------------
 
-  private def cleanSelectFd(table: String, fd: Fd, answerTids: DataFrame,
+  /** `clean_σ` of `fd` over the tuples satisfying `answer`, from one
+    * collection of the rule's value graph: the rule's statistics on its
+    * first use, dirty-group pruning, relaxation and repair all run on
+    * the driver, followed by one rewrite of the state.
+    */
+  private def cleanSelectFd(table: String, fd: Fd, answer: Column,
                             where: Seq[Pred] = Nil): RuleReport = {
-    val tr = tracker(table, fd)
-    val st = states(table)
+    val g = FdGraph.collect(states(table), fd, answer)
+    val tr = trackers.getOrElseUpdate((table, fd.id), new CostModel.Tracker(CostModel.statsOf(g)))
 
     // Lemma 1: a query whose rule-attribute filters all restrict the
     // rhs needs a single relaxation iteration; lhs filters need the
@@ -217,22 +207,16 @@ final class Daisy(val spark: SparkSession,
 
     // Dirty-group pruning (§7.1): skip the rule when the answer shares
     // no lhs value with any violating group that is still unchecked.
-    if (opts.useDirtyGroupPruning) {
-      val touched = Relaxation.lhsValues(st.filter(!ProbData.checkedBy(fd.id)), fd)
-        .join(answerTids.select(col(answerTids.columns.head).as(tidC)), tidC)
-        .select("lv").distinct()
-        .join(tr.stats.dirtyLhs, "lv").limit(1).count()
-      if (touched == 0) {
-        tr.register(0, 0, 0)
-        return RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = true,
-          switchedToFull = false, None)
-      }
+    if (opts.useDirtyGroupPruning &&
+        !g.sigs.exists(s => s.in && !s.checked && s.lvs.exists(tr.stats.dirtyLhs))) {
+      tr.register(0, 0, 0)
+      return RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = true,
+        switchedToFull = false, None)
     }
 
-    val out = CleanOps.cleanSelectFd(st, answerTids, fd, maxIter)
+    val out = CleanOps.cleanSelectFd(g, maxIter)
     states(table) = out.state
-    val qi = answerTids.count()
-    tr.register(qi, out.relaxed.extraCount, out.fixes.nDirty)
+    tr.register(g.count(_.in), out.relaxed.extraCount, out.fixes.nDirty)
 
     var switched = false
     if (opts.useCostModel && tr.shouldSwitchToFull) {
@@ -243,15 +227,18 @@ final class Daisy(val spark: SparkSession,
       out.fixes.nDirty, skippedByPruning = false, switched, None)
   }
 
+  /** The report of a step the planner placed before its operator. */
+  private def fullCleanReport(table: String, fd: Fd): RuleReport =
+    RuleReport(table, fd.id, 0, 0, fullCleanRemaining(table, fd), skippedByPruning = false,
+      switchedToFull = true, None)
+
   /** Cleans every tuple not yet checked by `fd` in one pass and marks
     * the rule as fully applied (the BeforeFilter / strategy-switch
     * path). Returns the number of repaired tuples.
     */
   def fullCleanRemaining(table: String, fd: Fd): Long = {
-    val st = states(table)
-    val remaining = st.filter(!ProbData.checkedBy(fd.id)).select(tidC)
-    val fixes = FdRepair.computeFixes(st, remaining, fd)
-    states(table) = FdRepair.applyFixes(st, fixes, remaining, fd).materialized
+    val (st, fixes) = FdRepair.clean(states(table), fd, !ProbData.checkedBy(fd.id))
+    states(table) = st
     trackers.get((table, fd.id)).foreach(_.markSwitched())
     fixes.nDirty
   }

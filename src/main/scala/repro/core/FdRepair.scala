@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.ProbData.MaterializeOps
+import scala.jdk.CollectionConverters._
 
 /** FD violation detection and probabilistic repair (§4.1).
   *
@@ -22,46 +23,53 @@ import repro.core.ProbData.MaterializeOps
   * All statistics are computed over the *base* (original) values of
   * the supplied tuple subset — per §4.3 new rules are always executed
   * over the original data (the provenance Daisy maintains) and merged
-  * into existing candidate sets afterwards.
+  * into existing candidate sets afterwards. They run on the driver over
+  * the rule's [[FdGraph]]: a tuple's fix depends only on its base
+  * (lv, rv) pair and its two dirty flags, so the fixes are a table
+  * keyed by those four values, applied by one rewrite of the state.
   */
 object FdRepair {
 
   /** Computed fixes for a tuple subset. */
   final case class Fixes(
-      /** (tid, attr-candidate columns) — one row per dirty tuple. */
+      /** (tid, attr-candidate columns) — one row per repaired tuple. */
       fixes: DataFrame,
       /** Number of violating (dirty) tuples ε in the subset. */
       nDirty: Long,
       /** Number of violating lhs groups. */
-      nDirtyGroups: Long)
+      nDirtyGroups: Long,
+      /** The fixes keyed by (lv, rv, dR, dL), and the subset they apply to. */
+      private[core] byKey: DataFrame,
+      private[core] subset: Column)
 
   private val tidC = ProbData.TidCol
 
-  /** Column name carrying the new rhs candidate set inside `fixes`. */
-  def rhsFixCol(fd: Fd): String = s"__fix_${fd.rhs}"
+  /** Column name carrying the new candidate set of attribute `a`. */
+  def fixCol(a: String): String = s"__fix_$a"
 
-  /** Column name carrying the new candidate set of lhs attribute `a`. */
-  def lhsFixCol(a: String): String = s"__fix_$a"
-
-  /** Base (original-value) lhs/rhs view of the subset: (tid, lv, rv). */
-  private def baseView(state: DataFrame, subsetTids: DataFrame, fd: Fd): DataFrame = {
-    val sub = subsetTids.select(col(subsetTids.columns.head).as(tidC)).distinct()
-    state.join(sub, tidC)
-      .select(col(tidC),
-        concat_ws(Relaxation.Sep, fd.lhs.map(col): _*).as("lv"),
-        col(fd.rhs).cast("string").as("rv"))
-  }
+  private def cand(v: String, p: Double, w: String, n: Long): Row = Row(v, "=", p, w, n)
 
   /** Detects violating lhs groups in the subset and computes the
     * probabilistic fixes for every tuple belonging to one.
     */
   def computeFixes(state: DataFrame, subsetTids: DataFrame, fd: Fd): Fixes = {
-    // Materialized early: everything below joins against these views
-    // repeatedly, and bounded plan depth keeps Catalyst's size-in-bytes
-    // estimation (which multiplies across joins) cheap.
-    val g = baseView(state, subsetTids, fd).materialized
+    val g = FdGraph.collect(state, fd, FdGraph.memberOf(subsetTids))
+    fixesOf(g, _.in, g.member)
+  }
 
-    val pairCnt = g.groupBy("lv", "rv").agg(count(lit(1)).as("cnt")).materialized
+  /** The fixes of the graph's tuples selected by `inSubset`; `subset`
+    * is the same selection as a predicate over the graph's state.
+    */
+  def fixesOf(g: FdGraph, inSubset: FdGraph.Sig => Boolean, subset: Column): Fixes = {
+    val fd = g.fd
+    val sub = g.sigs.filter(inSubset)
+
+    // rhs candidates per dirty lhs group, P(rhs|lhs) = cnt / Σcnt.
+    val byL = g.byLhs(inSubset)
+    val tot = byL.map { case (lv, rvs) => lv -> rvs.values.sum }
+    val rhsCands = g.dirtyGroups(inSubset).map { case (lv, rvs) =>
+      lv -> rvs.toSeq.sortBy(c => Option(c._1)).map { case (rv, n) => cand(rv, n.toDouble / tot(lv), "R", n) }
+    }
 
     // P(lhs | rhs) statistics come from *every* tuple sharing an rhs
     // value with the subset, even outside the relaxed result — Table 2b
@@ -69,45 +77,12 @@ object FdRepair {
     // (10001, SF) tuple that the one-iteration relaxation of Example 2
     // does not return. Those context tuples contribute statistics only;
     // they are neither repaired nor marked checked here.
-    val rvs = g.select("rv").distinct()
-    val pairCntCtx = state
-      .select(col(tidC),
-        concat_ws(Relaxation.Sep, fd.lhs.map(col): _*).as("lv"),
-        col(fd.rhs).cast("string").as("rv"))
-      .join(rvs, "rv")
-      .groupBy("lv", "rv").agg(count(lit(1)).as("cnt"))
-      .materialized
-
-    // rhs candidates per dirty lhs group, P(rhs|lhs) = cnt / Σcnt.
-    val byL = pairCnt.groupBy("lv").agg(
-      countDistinct("rv").as("ndr"),
-      sum("cnt").as("tot"),
-      array_sort(collect_list(struct(col("rv"), col("cnt")))).as("cands"))
-    val dirtyL = byL.filter(col("ndr") > 1)
-      .select(col("lv"),
-        transform(col("cands"), c => struct(
-          c.getField("rv").as("v"), lit("=").as("op"),
-          (c.getField("cnt") / col("tot")).cast("double").as("p"),
-          lit("R").as("w"), c.getField("cnt").cast("long").as("n"))).as("rhsCands"))
-
-    // lhs candidates per rhs value over the rhs-sharing context, P(lhs|rhs).
-    val byR = pairCntCtx.groupBy("rv").agg(
-      countDistinct("lv").as("ndl"),
-      sum("cnt").as("tot"),
-      array_sort(collect_list(struct(col("lv"), col("cnt")))).as("cands"))
-    val multiR = byR.filter(col("ndl") > 1)
-      .select(col("rv"),
-        transform(col("cands"), c => struct(
-          c.getField("lv").as("v"), lit("=").as("op"),
-          (c.getField("cnt") / col("tot")).cast("double").as("p"),
-          lit("L").as("w"), c.getField("cnt").cast("long").as("n"))).as("lvCands"))
-
-    val dirtyTuples = g.join(dirtyL, "lv").materialized
-    val nDirtyGroups = dirtyL.count()
-
-    var fixes = dirtyTuples
-      .join(multiR, Seq("rv"), "left")
-      .select(col(tidC), col("rhsCands").as(rhsFixCol(fd)), col("lvCands"))
+    val rvs = sub.map(_.rv).filter(_ != null).toSet
+    val ctx = FdGraph.pairCounts(g.sigs.filter(s => rvs(s.rv)))
+    val lhsCands = ctx.groupBy(_._1._2).collect { case (rv, ps) if ps.size > 1 =>
+      val t = ps.values.sum
+      rv -> ps.toSeq.sortBy(_._1._1).map { case ((lv, _), n) => cand(lv, n.toDouble / t, "L", n) }
+    }
 
     // Confirmations (§4.3): a rule also contributes its conditional
     // distribution to cells that *other* rules already made
@@ -116,94 +91,90 @@ object FdRepair {
     // speculative candidate set from zip → city and re-weights the
     // original value ("the probability of each fix must combine the
     // probabilities that stem from all the rules affecting the cell").
-    val dirtyFlags = state.select(col(tidC),
-      (if (ProbData.hasCands(state, fd.rhs)) ProbData.isDirty(fd.rhs)
-       else lit(false)).as("__dR"),
-      (if (fd.lhs.size == 1 && ProbData.hasCands(state, fd.lhs.head))
-        ProbData.isDirty(fd.lhs.head) else lit(false)).as("__dL"))
-    val groupTot = byL.select(col("lv"), col("tot"))
-    val rhsConf = g.join(dirtyFlags, tidC).filter(col("__dR"))
-      .join(dirtyL.select("lv"), Seq("lv"), "left_anti")
-      .join(groupTot, "lv")
-      .select(col(tidC),
-        array(struct(col("rv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
-          lit("R").as("w"), col("tot").cast("long").as("n"))).as(rhsFixCol(fd)),
-        lit(null).cast(ProbData.CandType).as("lvCands"))
-    val lhsConf = if (fd.lhs.size == 1) {
-      g.join(dirtyFlags, tidC).filter(col("__dL"))
-        .join(multiR.select("rv"), Seq("rv"), "left_anti")
-        .join(pairCntCtx, Seq("lv", "rv"))
-        .select(col(tidC),
-          lit(null).cast(ProbData.CandType).as(rhsFixCol(fd)),
-          array(struct(col("lv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
-            lit("L").as("w"), col("cnt").cast("long").as("n"))).as("lvCands"))
-    } else rhsConf.limit(0)
-    val confirmations = rhsConf.unionByName(lhsConf)
-      .groupBy(tidC).agg(
-        first(col(rhsFixCol(fd)), ignoreNulls = true).as(rhsFixCol(fd)),
-        first(col("lvCands"), ignoreNulls = true).as("lvCands"))
-    fixes = fixes.unionByName(confirmations)
-      .groupBy(tidC).agg(
-        first(col(rhsFixCol(fd)), ignoreNulls = true).as(rhsFixCol(fd)),
-        first(col("lvCands"), ignoreNulls = true).as("lvCands"))
-
-    // Split concatenated lhs candidates into per-attribute candidate
-    // sets. For a single-attribute lhs this is exact; for multi-attr
-    // lhs the per-attribute marginals lose cross-attribute correlation
-    // (candidate combinations), which only the multi-attr air-quality
-    // rule exercises — its repairs are rhs-side.
-    val k = fd.lhs.size
-    if (k == 1) {
-      fixes = fixes.withColumnRenamed("lvCands", lhsFixCol(fd.lhs.head))
-    } else {
-      for ((a, i) <- fd.lhs.zipWithIndex) {
-        val parts = transform(col("lvCands"), c => struct(
-          element_at(split(c.getField("v"), Relaxation.Sep), i + 1).as("v"),
-          c.getField("op").as("op"), c.getField("p").as("p"),
-          c.getField("w").as("w"), c.getField("n").as("n")))
-        fixes = fixes.withColumn(lhsFixCol(a),
-          when(col("lvCands").isNull, lit(null).cast(ProbData.CandType))
-            .otherwise(ProbData.mergeCands(parts, lit(null).cast(ProbData.CandType))))
-      }
-      fixes = fixes.drop("lvCands")
+    val keys = sub.map(s => (s.lv, s.rv, s.dR, s.dL)).distinct
+    val rows = keys.flatMap { case (lv, rv, dR, dL) =>
+      val dirty = rhsCands.contains(lv)
+      val multi = rv != null && lhsCands.contains(rv)
+      val fixR =
+        if (dirty) rhsCands(lv)
+        else if (dR) Seq(cand(rv, 1.0, "R", tot(lv)))
+        else null
+      val fixL =
+        if (dirty && multi) lhsCands(rv)
+        else if (dL && rv != null && !multi) Seq(cand(lv, 1.0, "L", ctx((lv, rv))))
+        else null
+      if (fixR == null && fixL == null) None
+      else Some(Row.fromSeq(Seq(lv, rv, dR, dL) ++ lhsParts(fd, fixL) :+ fixR))
     }
 
-    Fixes(fixes.materialized, dirtyTuples.count(), nDirtyGroups)
+    val schema = StructType(
+      Seq(StructField("__lv", StringType), StructField("__rv", StringType),
+        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
+        (fd.lhs :+ fd.rhs).map(a => StructField(fixCol(a), ProbData.CandType)))
+    val byKey = g.state.sparkSession.createDataFrame(rows.asJava, schema)
+    val tupleFixes = keyed(g.state, fd, subset).join(broadcast(byKey), keyCond)
+      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(fixCol(a)))): _*)
+    Fixes(tupleFixes, g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size,
+      byKey, subset)
   }
+
+  /** Splits concatenated lhs candidates into per-attribute candidate
+    * sets. For a single-attribute lhs this is exact; for multi-attr
+    * lhs the per-attribute marginals lose cross-attribute correlation
+    * (candidate combinations), which only the multi-attr air-quality
+    * rule exercises — its repairs are rhs-side.
+    */
+  private def lhsParts(fd: Fd, fixL: Seq[Row]): Seq[Seq[Row]] =
+    if (fixL == null) fd.lhs.map(_ => null)
+    else if (fd.lhs.size == 1) Seq(fixL)
+    else fd.lhs.indices.map { i =>
+      ProbData.mergeCandSeqs(fixL.map(c =>
+        Row(c.getString(0).split(Relaxation.Sep, -1).lift(i).orNull, c.getString(1),
+          c.getDouble(2), c.getString(3), c.getLong(4))), null)
+    }
+
+  /** The state with the fix-table key of every tuple and its subset flag. */
+  private def keyed(state: DataFrame, fd: Fd, subset: Column): DataFrame =
+    state.select(col("*"), FdGraph.baseLhs(fd).as("__klv"), FdGraph.baseRhs(fd).as("__krv"),
+      FdGraph.dirtyFlag(state, fd.rhs).as("__kdR"), FdGraph.dirtyLhsFlag(state, fd).as("__kdL"),
+      subset.as("__ksub"))
+
+  private val keyCond: Column =
+    col("__klv") === col("__lv") && col("__krv") <=> col("__rv") &&
+      col("__kdR") === col("__dR") && col("__kdL") === col("__dL") && col("__ksub")
 
   /** Applies `fixes` to the state: merges new candidate sets into the
     * sidecar columns (union semantics of §4.3) and marks every tuple
     * of `subsetTids` as checked by `fd`. Base columns are untouched —
     * they are the provenance to the original values.
     */
-  def applyFixes(state: DataFrame, fixes: Fixes, subsetTids: DataFrame, fd: Fd): DataFrame = {
-    var out = state.join(fixes.fixes, Seq(tidC), "left")
-    for (a <- fd.lhs :+ fd.rhs) {
-      val fixC = if (a == fd.rhs) rhsFixCol(fd) else lhsFixCol(a)
-      val cc   = ProbData.candCol(a)
-      out = out.withColumn(cc,
-        when(col(fixC).isNull, col(cc))
-          .otherwise(ProbData.mergeCands(col(cc), col(fixC))))
-        .drop(fixC)
+  def applyFixes(state: DataFrame, fixes: Fixes, subsetTids: DataFrame, fd: Fd): DataFrame =
+    rewrite(state, fd, fixes, FdGraph.memberOf(subsetTids))
+
+  /** The one state rewrite of the FD clean path: a broadcast join with
+    * the fix table merges the fixes of the fixed subset, and the tuples
+    * satisfying `mark` become checked by `fd`.
+    */
+  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame = {
+    val joined = keyed(state, fd, fixes.subset).withColumn("__kmark", coalesce(mark, lit(false)))
+      .join(broadcast(fixes.byKey), keyCond, "left")
+    val merged = (fd.lhs :+ fd.rhs).foldLeft(joined) { (df, a) =>
+      val cc = ProbData.candCol(a)
+      df.withColumn(cc, when(col(fixCol(a)).isNull, col(cc))
+        .otherwise(ProbData.mergeCands(col(cc), col(fixCol(a)))))
     }
-    ProbData.markChecked(out, subsetTids, fd.id)
+    merged.withColumn(ProbData.ChkCol,
+        when(col("__kmark"), array_union(col(ProbData.ChkCol), array(lit(fd.id))))
+          .otherwise(col(ProbData.ChkCol)))
+      .select(state.columns.map(col): _*)
   }
 
-  /** Detection only: the violating lhs groups of the subset (lv, ndr). */
-  def violatingGroups(state: DataFrame, subsetTids: DataFrame, fd: Fd): DataFrame =
-    baseView(state, subsetTids, fd)
-      .groupBy("lv").agg(countDistinct("rv").as("ndr"))
-      .filter(col("ndr") > 1)
-
-  /** Average candidate-set size p of the dirty cells — the `p` of the
-    * §5.2.3 inequality, approximated from the current fixes.
+  /** Detects, repairs and marks checked the tuples satisfying `subset`
+    * with one signature collection and one materialized rewrite.
     */
-  def avgCandidates(fixes: Fixes, fd: Fd): Double = {
-    if (fixes.nDirty == 0) 0.0
-    else {
-      val row = fixes.fixes
-        .select(avg(size(col(rhsFixCol(fd)))).as("a")).collect().head
-      Option(row.get(0)).map(_.asInstanceOf[Double]).getOrElse(0.0)
-    }
+  def clean(state: DataFrame, fd: Fd, subset: Column): (DataFrame, Fixes) = {
+    val g = FdGraph.collect(state, fd, subset)
+    val fixes = fixesOf(g, _.in, g.member)
+    (rewrite(state, fd, fixes, g.member).materialized, fixes)
   }
 }

@@ -63,17 +63,20 @@ object ProbData {
     df.columns.contains(candCol(attr))
 
   /** Lifts a plain relation into Daisy's state representation: casts
-    * every rule attribute to string, adds a stable `__tid` (from an
-    * existing `tid` column or via a deterministic row numbering), empty
-    * candidate sidecars for every rule attribute and an empty `__chk`.
+    * every rule attribute to string, keeps an existing `__tid` column or
+    * adds one, empty candidate sidecars for every rule attribute and an
+    * empty `__chk`.
     */
   def init(df: DataFrame, rules: Seq[Rule]): DataFrame = {
     val ruleAttrs = rules.flatMap(_.attrs).distinct.filter(df.columns.contains)
     var out = df
     if (!out.columns.contains(TidCol)) {
-      // Deterministic in the input ordering of a generated dataset:
-      // generators emit an `id`-like column; otherwise fall back to a
-      // sort over all columns to keep ids stable across recomputation.
+      // `monotonically_increasing_id` encodes the partition index in the
+      // upper bits: the ids are unique but depend on the input's
+      // partitioning, so two `init` calls on differently partitioned
+      // copies of one relation may number its rows differently. Every
+      // generator in `repro.data` emits `__tid` itself; the gap is ROADMAP
+      // item 4.
       out = out.withColumn(TidCol, monotonically_increasing_id())
     }
     for (a <- ruleAttrs)

@@ -55,9 +55,8 @@ object OfflineCleaner {
     for (r <- rules if !timedOut) r match {
       case fd: Fd => mode match {
         case Mode.Bulk =>
-          val all = state.select(tidC)
-          val fixes = FdRepair.computeFixes(state, all, fd)
-          state = FdRepair.applyFixes(state, fixes, all, fd).materialized
+          val (cleaned, fixes) = FdRepair.clean(state, fd, lit(true))
+          state = cleaned
           done += fixes.nDirtyGroups; total += fixes.nDirtyGroups
         case Mode.PerGroup =>
           val (s2, d, t, to) = cleanFdPerGroup(state, fd, t0, timeoutSec)

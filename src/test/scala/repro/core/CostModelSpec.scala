@@ -17,7 +17,7 @@ class CostModelSpec extends SparkSpec {
   }
 
   test("fdStats: the dirty lhs list is the pruning list of §7.1") {
-    val lvs = stats.dirtyLhs.collect().map(_.getString(0)).sorted.toSeq
+    val lvs = stats.dirtyLhs.toSeq.sorted
     assert(lvs == Seq("10001", "9001"))
   }
 
@@ -26,7 +26,7 @@ class CostModelSpec extends SparkSpec {
       spark.createDataFrame(Seq((0L, "1", "a"), (1L, "2", "b"))).toDF("__tid", "zip", "city"),
       Seq(TestData.cityFd))
     val s = CostModel.fdStats(clean, TestData.cityFd)
-    assert(s.epsilon == 0 && s.dirtyGroups == 0 && s.dirtyLhs.count() == 0)
+    assert(s.epsilon == 0 && s.dirtyGroups == 0 && s.dirtyLhs.isEmpty)
   }
 
   test("offline cost grows with the number of queries (the q·n term)") {

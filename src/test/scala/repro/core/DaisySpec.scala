@@ -120,6 +120,25 @@ class DaisySpec extends SparkSpec {
     assert(d.state("emp").filter(ProbData.isDirty("ezip")).count() == 2)
   }
 
+  test("a join-side rule switched to full cleaning takes the full-clean route") {
+    val d = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("cities" -> Seq(fd), "emp" -> Seq(TestData.empFd)))
+    val q = QuerySpec("cities", where = Seq(Pred("city", "=", "Los Angeles")),
+      select = Seq("zip", "ename"), join = Some(JoinSpec("emp", "zip", "ezip")))
+    d.execute(q)
+    // Force the switch on the right table: its tracker exists after the
+    // first join-side step, and a full clean marks it switched.
+    d.fullCleanRemaining("emp", TestData.empFd)
+    val res = d.execute(q)
+    val step = d.lastReport.plan.steps.find(_.isJoinSide).get
+    assert(step.placement == Planner.BeforeFilter)
+    val rep = d.lastReport.perRule.find(_.ruleId == TestData.empFd.id).get
+    assert(rep.switchedToFull && rep.iterations == 0, s"join-side report $rep")
+    assert(d.state("emp").filter(!ProbData.checkedBy(TestData.empFd.id)).count() == 0)
+    assert(res.select("ename").collect().map(_.getString(0)).toSet == Set("Peter", "Mary", "Jon"))
+  }
+
   test("DC rule: incremental detection repairs the Example 5 violation at query time") {
     val d = Daisy.single(spark, "sal", TestData.salaries(spark), Seq(TestData.salaryDc),
       DaisyOptions(dcThreshold = 1.1)) // never force full cleaning

@@ -12,10 +12,11 @@ class FdRepairSpec extends SparkSpec {
   private def allTids = state.select(ProbData.TidCol)
 
   test("violating groups found by lhs group-by (oracle-checked)") {
-    val groups = FdRepair.violatingGroups(state, allTids, fd)
-    assert(groups.collect().map(_.getString(0)).sorted.toSeq == Seq("10001", "9001"))
+    val groups = FdGraph.collect(state, fd, lit(true)).dirtyGroups(_.in)
+    assert(groups.keys.toSeq.sorted == Seq("10001", "9001"))
     Oracle.assertEquivalent(
-      groups.select(col("lv"), col("ndr").cast("long").as("ndr")),
+      spark.createDataFrame(groups.toSeq.map { case (lv, rvs) => (lv, rvs.keys.count(_ != null).toLong) })
+        .toDF("lv", "ndr"),
       "SELECT zip AS lv, COUNT(DISTINCT city) AS ndr FROM cities GROUP BY zip HAVING COUNT(DISTINCT city) > 1",
       "cities" -> TestData.cities(spark).drop("__tid"))
   }
@@ -125,8 +126,9 @@ class FdRepairSpec extends SparkSpec {
     assert(name(2L).isEmpty && name(3L).isEmpty)
   }
 
-  test("avgCandidates reflects the candidate-set sizes") {
-    val fixes = FdRepair.computeFixes(state, allTids, fd)
-    assert(FdRepair.avgCandidates(fixes, fd) == 2.0)
+  test("dirty city cells carry two candidates on average") {
+    val avgSize = cleaned.filter(ProbData.isDirty("city"))
+      .select(avg(size(col(ProbData.candCol("city"))))).collect().head.getDouble(0)
+    assert(avgSize == 2.0)
   }
 }

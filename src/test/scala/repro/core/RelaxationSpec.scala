@@ -69,8 +69,8 @@ class RelaxationSpec extends SparkSpec {
     // has zip candidates {9001, 10001} it bridges the clusters.
     val fixes = FdRepair.computeFixes(state, state.select(ProbData.TidCol), fd)
     val probState = FdRepair.applyFixes(state, fixes, state.select(ProbData.TidCol), fd)
-    val lv = Relaxation.lhsValues(probState, fd)
-    val vals3 = lv.filter(col(ProbData.TidCol) === 3L).select("lv")
+    val vals3 = probState.filter(col(ProbData.TidCol) === 3L)
+      .select(explode(Relaxation.lhsValues(probState, fd)))
       .collect().map(_.getString(0)).sorted
     assert(vals3.toSeq == Seq("10001", "9001"))
   }
@@ -79,7 +79,7 @@ class RelaxationSpec extends SparkSpec {
     val df = spark.createDataFrame(Seq((0L, "cc", "st", "n"))).toDF("__tid", "a", "b", "c")
     val mfd = Fd("m", Seq("a", "b"), "c")
     val st = ProbData.init(df, Seq(mfd))
-    val lv = Relaxation.lhsValues(st, mfd).collect().head.getString(1)
+    val lv = st.select(explode(Relaxation.lhsValues(st, mfd))).collect().head.getString(0)
     assert(lv == "cc" + Relaxation.Sep + "st")
   }
 
