@@ -16,11 +16,7 @@ final case class DaisyOptions(
     /** Max atom-subset size of holistic DC fixes (Example 5). */
     maxFixAtoms: Int = 1,
     /** Transitive-closure bound of Algorithm 1. */
-    relaxMaxIter: Int = 20,
-    /** Consult the precomputed dirty-group list to skip rules whose
-      * dirty values the query cannot touch (§7.1).
-      */
-    useDirtyGroupPruning: Boolean = true)
+    relaxMaxIter: Int = 20)
 
 /** Per-rule metrics of one executed query. */
 final case class RuleReport(table: String, ruleId: String, relaxedExtra: Long,
@@ -53,29 +49,19 @@ final class Daisy(val spark: SparkSession,
   private val rules = mutable.Map[String, Seq[Rule]]() ++
     initialTables.keys.map(t => t -> initialRules.getOrElse(t, Nil))
 
+  rules.values.foreach(Rule.requireExclusiveDcAttrs)
+
   private val states = mutable.Map[String, DataFrame]() ++ initialTables.map {
     case (t, df) => t -> ProbData.init(df, rules(t)).materialized
   }
 
-  // An attribute may be governed by several FDs (§4.3) but by at most
-  // one inequality DC (its candidate columns are rebuilt from the
-  // accumulated pair set).
-  for ((t, rs) <- rules) {
-    val dcAttrs = rs.collect { case d: InequalityDc => d.attrs }.flatten
-    require(dcAttrs.distinct.size == dcAttrs.size,
-      s"table $t: an attribute may appear in at most one inequality DC")
-  }
-
-  private val trackers  = mutable.Map[(String, String), CostModel.Tracker]()
-  private val dcSeen    = mutable.Map[(String, String), DataFrame]()
-  private val dcAccum   = mutable.Map[(String, String), DataFrame]()
-  private val dcBuck    = mutable.Map[(String, String), ThetaJoin.Bucketized]()
+  private val trackers = mutable.Map[(String, String), CostModel.Tracker]()
+  private val dcRecords = mutable.Map[(String, String), Daisy.DcRecord]()
 
   /** Metrics of the most recent [[execute]] call. */
   var lastReport: ExecReport = ExecReport(Planner.Plan(QuerySpec("-"), Nil, Nil), 0, Nil)
 
   def state(table: String): DataFrame = states(table)
-  def tableRules(table: String): Seq[Rule] = rules.getOrElse(table, Nil)
 
   /** Registers a new rule discovered during exploration; it will be
     * evaluated over the original (provenance) values of the table on
@@ -83,7 +69,9 @@ final class Daisy(val spark: SparkSession,
     * probabilistic state (§4.3, Table 7).
     */
   def addRule(table: String, rule: Rule): Unit = {
-    rules(table) = rules.getOrElse(table, Nil) :+ rule
+    val rs = rules.getOrElse(table, Nil) :+ rule
+    Rule.requireExclusiveDcAttrs(rs)
+    rules(table) = rs
     // Extend the state schema with the new rule's candidate sidecars.
     var st = states(table)
     for (a <- rule.attrs if !st.columns.contains(ProbData.candCol(a)))
@@ -108,7 +96,7 @@ final class Daisy(val spark: SparkSession,
 
     // --- left relation: clean_σ per overlapping rule ---------------
     for (step <- plan.steps if !step.isJoinSide)
-      reports += runSelectStep(q.table, step, q.where)
+      reports += runStep(q.table, step, ProbData.qualifiesAll(states(q.table), q.where), q.where)
 
     var result = states(q.table).filter(ProbData.qualifiesAll(states(q.table), q.where))
 
@@ -119,14 +107,14 @@ final class Daisy(val spark: SparkSession,
       var joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey)
         .materialized
 
-      val rightQual = joined.select(col("__rtid").as(tidC)).distinct()
+      lazy val rightQual = FdGraph.memberOf(joined.select("__rtid"))
       for (step <- plan.steps if step.isJoinSide) {
-        val (rep, changedTids) = runJoinSideStep(j.rightTable, step, rightQual)
-        reports += rep
-        // Incremental join (Fig. 3): only the updated right tuples are
-        // re-joined and unioned into the existing result.
-        val rightNow = states(j.rightTable)
-        val changed = rightNow.join(changedTids, tidC)
+        reports += runStep(j.rightTable, step, rightQual)
+        // Incremental join (Fig. 3): only the right tuples with a
+        // probabilistic rule attribute are re-joined and unioned into the
+        // existing result.
+        val changed = states(j.rightTable)
+          .filter(step.rule.attrs.map(ProbData.isDirty).reduce(_ || _))
         joined = CleanOps.incrementalJoin(joined, result, changed, j.leftKey, j.rightKey)
           .materialized
       }
@@ -158,29 +146,16 @@ final class Daisy(val spark: SparkSession,
     result
   }
 
-  /** Runs one left-side cleaning step; returns its report. */
-  private def runSelectStep(table: String, step: Planner.CleaningStep,
-                            where: Seq[Pred]): RuleReport = step.rule match {
-    case fd: Fd if step.placement == Planner.BeforeFilter => fullCleanReport(table, fd)
-    case fd: Fd => cleanSelectFd(table, fd, ProbData.qualifiesAll(states(table), where), where)
-    case dc: InequalityDc =>
-      val st = states(table)
-      cleanSelectDc(table, dc, st.filter(ProbData.qualifiesAll(st, where)).select(tidC))
-  }
-
-  /** Runs one right-side cleaning step; returns its report and the tids
-    * of the right tuples with a probabilistic rule attribute.
+  /** Runs one cleaning step over the tuples satisfying `answer`; returns
+    * its report.
     */
-  private def runJoinSideStep(table: String, step: Planner.CleaningStep,
-                              qualTids: DataFrame): (RuleReport, DataFrame) = {
-    val rep = step.rule match {
-      case fd: Fd if step.placement == Planner.BeforeFilter => fullCleanReport(table, fd)
-      case fd: Fd => cleanSelectFd(table, fd, FdGraph.memberOf(qualTids))
-      case dc: InequalityDc => cleanSelectDc(table, dc, qualTids)
-    }
-    val changed = states(table).filter(step.rule.attrs.map(ProbData.isDirty).reduce(_ || _))
-      .select(tidC).materialized
-    (rep, changed)
+  private def runStep(table: String, step: Planner.CleaningStep, answer: Column,
+                      where: Seq[Pred] = Nil): RuleReport = step.rule match {
+    case fd: Fd if step.placement == Planner.BeforeFilter =>
+      RuleReport(table, fd.id, 0, 0, fullCleanRemaining(table, fd), skippedByPruning = false,
+        switchedToFull = true, None)
+    case fd: Fd => cleanSelectFd(table, fd, answer, where)
+    case dc: InequalityDc => cleanSelectDc(table, dc, answer)
   }
 
   // -------------------------------------------------------------------
@@ -207,8 +182,7 @@ final class Daisy(val spark: SparkSession,
 
     // Dirty-group pruning (§7.1): skip the rule when the answer shares
     // no lhs value with any violating group that is still unchecked.
-    if (opts.useDirtyGroupPruning &&
-        !g.sigs.exists(s => s.in && !s.checked && s.lvs.exists(tr.stats.dirtyLhs))) {
+    if (!g.sigs.exists(s => s.in && !s.checked && s.lvs.exists(tr.stats.dirtyLhs))) {
       tr.register(0, 0, 0)
       return RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = true,
         switchedToFull = false, None)
@@ -227,11 +201,6 @@ final class Daisy(val spark: SparkSession,
       out.fixes.nDirty, skippedByPruning = false, switched, None)
   }
 
-  /** The report of a step the planner placed before its operator. */
-  private def fullCleanReport(table: String, fd: Fd): RuleReport =
-    RuleReport(table, fd.id, 0, 0, fullCleanRemaining(table, fd), skippedByPruning = false,
-      switchedToFull = true, None)
-
   /** Cleans every tuple not yet checked by `fd` in one pass and marks
     * the rule as fully applied (the BeforeFilter / strategy-switch
     * path). Returns the number of repaired tuples.
@@ -247,67 +216,49 @@ final class Daisy(val spark: SparkSession,
   // DC path (§4.2)
   // -------------------------------------------------------------------
 
-  private def cleanSelectDc(table: String, dc: InequalityDc,
-                            answerTids: DataFrame): RuleReport = {
-    val key = (table, dc.id)
-    val st = states(table)
-    val buck = dcBuck.getOrElseUpdate(key, {
-      val b = ThetaJoin.bucketize(st, dc, opts.dcPartitions)
-      b.copy(data = b.data.materialized)
-    })
-    val seen = dcSeen.getOrElse(key, spark.emptyDataFrame.withColumn(tidC, lit(0L)).limit(0)
-      .select(col(tidC)))
-    val answer = answerTids.select(col(answerTids.columns.head).as(tidC)).distinct()
-    val newTids = answer.except(seen).materialized
-
-    // The incremental matrix subset: pairs with at least one endpoint
-    // in the newly-accessed result part (never seen × seen again).
-    val flagged = buck.data.join(newTids.withColumn("__new", lit(true)), Seq(tidC), "left")
-      .withColumn("__seen", col("__new").isNull).drop("__new")
-    val pairs = ThetaJoin.candidatePairs(dc, buck.stats)
-    val newVios = ThetaJoin.violations(flagged, dc, pairs, buck.stats)
-
-    val accum0 = dcAccum.get(key)
-    var accum = accum0.map(_.unionByName(newVios).dropDuplicates(tidC + "1", tidC + "2"))
-      .getOrElse(newVios).materialized
-
-    var seenNow = seen.union(newTids).distinct().materialized
-
-    // Algorithm 2: estimate the error share outside the checked region
-    // and fall back to full cleaning when the predicted accuracy is low.
-    val checked = checkedBucketPairs(buck, seenNow, pairs)
-    val resultBuckets = buck.data.join(answer, tidC).select("__b").distinct()
-      .collect().map(_.getInt(0)).toSet
-    val decision = ThetaJoin.decide(dc, buck.stats, resultBuckets, checked,
-      answer.count(), opts.dcThreshold)
-    if (decision.fullCleaning) {
-      val allNew = buck.data.withColumn("__seen", lit(false))
-      accum = ThetaJoin.violations(allNew, dc, pairs, buck.stats).materialized
-      seenNow = states(table).select(tidC).materialized
-    }
-
-    val fixes = DcRepair.fixes(accum, dc, opts.maxFixAtoms).materialized
-    val touched = accum.select(col(tidC + "1").as(tidC))
-      .union(accum.select(col(tidC + "2").as(tidC))).distinct()
-    states(table) = DcRepair.applyFixesOverwrite(states(table), fixes, touched, dc)
-      .materialized
-
-    dcAccum(key) = accum
-    dcSeen(key) = seenNow
-    RuleReport(table, dc.id, 0, 1, touched.count(), skippedByPruning = false,
+  /** `clean_σ` of `dc` over the tuples satisfying `answer` (§4.2). One
+    * collection of the answer's buckets gives Algorithm 2 its inputs and
+    * the answer's tuples the rule has not seen; the decision comes
+    * first, then one detection: over the whole matrix when it is full
+    * cleaning, else over the pairs with a newly seen tuple.
+    */
+  private def cleanSelectDc(table: String, dc: InequalityDc, answer: Column): RuleReport = {
+    val rec = dcRecord(table, dc)
+    val tuples = states(table).filter(answer).select(col(tidC), rec.buck.bucket).collect().toSeq
+      .map(r => (r.getLong(0), Option(r.getAs[Integer](1)).map(_.intValue)))
+    val fresh = tuples.collect { case (t, Some(b)) if !rec.seen(t, b) => (t, b) }
+    val now = rec.see(fresh)
+    val decision = ThetaJoin.decide(dc, rec.buck.stats, tuples.flatMap(_._2).toSet,
+      now.checkedPairs, tuples.length, opts.dcThreshold)
+    val after =
+      if (decision.fullCleaning) cleanDc(table, dc, now.complete, lit(false))
+      else if (fresh.isEmpty) now
+      else cleanDc(table, dc, now, !col(tidC).isInCollection(fresh.map(_._1)))
+    dcRecords((table, dc.id)) = after
+    RuleReport(table, dc.id, 0, 1, after.touched, skippedByPruning = false,
       decision.fullCleaning, Some(decision))
   }
 
-  /** Bucket pairs fully compared so far: a pair is done when every
-    * tuple of one of its buckets has been part of some query result.
+  private def dcRecord(table: String, dc: InequalityDc): Daisy.DcRecord =
+    dcRecords.getOrElse((table, dc.id), {
+      val b = ThetaJoin.bucketize(states(table), dc, opts.dcPartitions)
+      Daisy.DcRecord(b.copy(data = b.data.materialized), ThetaJoin.candidatePairs(dc, b.stats))
+    })
+
+  /** Detects the violations among the pairs of `rec`'s matrix that are
+    * not both `seen`, adds them to the pairs found so far (all of them
+    * when `seen` is false everywhere) and repairs the state from the
+    * result.
     */
-  private def checkedBucketPairs(buck: ThetaJoin.Bucketized, seen: DataFrame,
-                                 pairs: Seq[(Int, Int)]): Set[(Int, Int)] = {
-    val seenPer = buck.data.join(seen, tidC).groupBy("__b").count()
-      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val fullBuckets = buck.stats.filter(s => seenPer.getOrElse(s.idx, 0L) >= s.count)
-      .map(_.idx).toSet
-    pairs.filter { case (i, j) => fullBuckets.contains(i) || fullBuckets.contains(j) }.toSet
+  private def cleanDc(table: String, dc: InequalityDc, rec: Daisy.DcRecord,
+                      seen: Column): Daisy.DcRecord = {
+    val found = ThetaJoin.violations(rec.buck.data.withColumn("__seen", seen), dc, rec.pairs,
+      rec.buck.stats)
+    val vios = rec.vios.fold(found)(_.unionByName(found).dropDuplicates(tidC + "1", tidC + "2"))
+      .materialized
+    val (st, touched) = DcRepair.clean(states(table), vios, dc, opts.maxFixAtoms)
+    states(table) = st
+    rec.copy(vios = Some(vios), touched = touched.count())
   }
 
   // -------------------------------------------------------------------
@@ -321,8 +272,7 @@ final class Daisy(val spark: SparkSession,
     for (r <- rules.getOrElse(table, Nil)) r match {
       case fd: Fd => fullCleanRemaining(table, fd)
       case dc: InequalityDc =>
-        val all = states(table).select(tidC)
-        cleanSelectDc(table, dc, all)
+        dcRecords((table, dc.id)) = cleanDc(table, dc, dcRecord(table, dc).complete, lit(false))
     }
   }
 
@@ -339,6 +289,35 @@ final class Daisy(val spark: SparkSession,
 }
 
 object Daisy {
+  /** Daisy's bookkeeping of one inequality DC over one table (§4.2): the
+    * materialized bucketization and its candidate bucket pairs, the tids
+    * the rule has seen in answers with their count per bucket, and the
+    * violation pairs found so far with the number of tuples they touch.
+    * A bucket whose tuples have all been seen is full; every pair of a
+    * full bucket has been checked.
+    */
+  private[core] final case class DcRecord(buck: ThetaJoin.Bucketized, pairs: Seq[(Int, Int)],
+                                          seenTids: Set[Long] = Set.empty,
+                                          seenPerBucket: Map[Int, Long] = Map.empty,
+                                          vios: Option[DataFrame] = None, touched: Long = 0L) {
+    private val sizes = buck.stats.map(s => s.idx -> s.count).toMap
+
+    def full(b: Int): Boolean = seenPerBucket.getOrElse(b, 0L) >= sizes(b)
+    def seen(tid: Long, b: Int): Boolean = full(b) || seenTids(tid)
+
+    /** The record after the rule has seen the (tid, bucket) pairs `fresh`. */
+    def see(fresh: Seq[(Long, Int)]): DcRecord =
+      copy(seenTids = seenTids ++ fresh.map(_._1), seenPerBucket = fresh.foldLeft(seenPerBucket) {
+        case (m, (_, b)) => m.updated(b, m.getOrElse(b, 0L) + 1L)
+      })
+
+    /** The record after every tuple has been seen (full cleaning). */
+    def complete: DcRecord = copy(seenPerBucket = sizes)
+
+    /** Bucket pairs fully compared so far: those touching a full bucket. */
+    def checkedPairs: Set[(Int, Int)] = pairs.filter { case (i, j) => full(i) || full(j) }.toSet
+  }
+
   /** Session over one table. */
   def single(spark: SparkSession, table: String, df: DataFrame, rs: Seq[Rule],
              opts: DaisyOptions = DaisyOptions()): Daisy =

@@ -28,6 +28,19 @@ sealed trait Rule {
     attrs.exists(queryAttrs.contains)
 }
 
+object Rule {
+  /** Rejects a table's rule set in which an attribute of an inequality
+    * DC is governed by any other rule. The DC path rebuilds such an
+    * attribute's candidate sets from the DC's violation pairs alone
+    * ([[DcRepair.clean]] overwrites them), so another rule's candidates
+    * on it would be lost; FDs may share attributes with each other.
+    */
+  def requireExclusiveDcAttrs(rules: Seq[Rule]): Unit =
+    for ((dc: InequalityDc, i) <- rules.zipWithIndex; (r, j) <- rules.zipWithIndex if j != i)
+      require(!r.attrs.exists(dc.attrs.contains), s"inequality DC ${dc.id} shares attributes " +
+        s"with ${r.id}: an attribute of an inequality DC may be governed by no other rule")
+}
+
 /** Functional dependency `lhs → rhs`. */
 final case class Fd(id: String, lhs: Seq[String], rhs: String) extends Rule {
   require(lhs.nonEmpty, s"FD $id needs a non-empty lhs")

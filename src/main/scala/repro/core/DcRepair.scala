@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.core.ProbData.MaterializeOps
 
 /** Holistic repair of general DC violations (§4.2, Example 5).
   *
@@ -38,9 +39,6 @@ object DcRepair {
     // in the fixes whose subset contains i.
     val changesPerAtom = dc.atoms.indices.map(i => subsets.count(_.contains(i)))
 
-    val spark = violations.sparkSession
-    import spark.implicits._
-
     val rows = violations.select(
       col(tidC + "1"), col(tidC + "2"), col("dir"),
       array(dc.attrs.map(a => col(a + "1")): _*).as("vals1"),
@@ -52,32 +50,21 @@ object DcRepair {
         when(col("dir") === "both", array(lit("12"), lit("21")))
           .otherwise(array(col("dir")))))
 
-    val attrIdx = dc.attrs.zipWithIndex.toMap
-
-    // Per atom, per side: emit the range candidate and the original-
-    // value candidate with the fix-frequency supports.
+    // Per atom, per side: emit the original-value candidate and the
+    // range candidate with the fix-frequency supports.
+    val o12 = col("__o") === "12"
+    val (tid1, tid2) = (when(o12, col(tidC + "1")).otherwise(col(tidC + "2")),
+      when(o12, col(tidC + "2")).otherwise(col(tidC + "1")))
     val perAtom = dc.atoms.zipWithIndex.flatMap { case (at, i) =>
-      val a = at.attr
-      val vi = attrIdx(a)
+      val vi = dc.attrs.indexOf(at.attr)
+      val (t1, t2) = (when(o12, col("vals1")(vi)).otherwise(col("vals2")(vi)),
+        when(o12, col("vals2")(vi)).otherwise(col("vals1")(vi)))
+      def cand(tid: Column, v: Column, op: String, n: Int): Column =
+        struct(tid.as("tid"), lit(at.attr).as("attr"), v.cast("string").as("v"),
+          lit(op).as("op"), lit(n).as("n"))
       val chg = changesPerAtom(i)
-      val keep = nFixes - chg
-      val cands: Seq[org.apache.spark.sql.Column] = {
-        val t1 = when(col("__o") === "12", col("vals1")(vi)).otherwise(col("vals2")(vi))
-        val t2 = when(col("__o") === "12", col("vals2")(vi)).otherwise(col("vals1")(vi))
-        val t1tid = when(col("__o") === "12", col(tidC + "1")).otherwise(col(tidC + "2"))
-        val t2tid = when(col("__o") === "12", col(tidC + "2")).otherwise(col(tidC + "1"))
-        Seq(
-          struct(t1tid.as("tid"), lit(a).as("attr"), t1.cast("string").as("v"),
-            lit("=").as("op"), lit(keep).as("n")),
-          struct(t1tid.as("tid"), lit(a).as("attr"), t2.cast("string").as("v"),
-            lit(at.invertedOpT1).as("op"), lit(chg).as("n")),
-          struct(t2tid.as("tid"), lit(a).as("attr"), t2.cast("string").as("v"),
-            lit("=").as("op"), lit(keep).as("n")),
-          struct(t2tid.as("tid"), lit(a).as("attr"), t1.cast("string").as("v"),
-            lit(at.invertedOpT2).as("op"), lit(chg).as("n")),
-        )
-      }
-      cands
+      Seq(cand(tid1, t1, "=", nFixes - chg), cand(tid1, t2, at.invertedOpT1, chg),
+        cand(tid2, t2, "=", nFixes - chg), cand(tid2, t1, at.invertedOpT2, chg))
     }
 
     oriented
@@ -102,30 +89,12 @@ object DcRepair {
         lit("DC").as("w"), c.getField("n").cast("long").as("n"))).as("cands"))
   }
 
-  /** Applies DC fixes to the state: pivots the per-attr fixes into the
-    * sidecar columns (merge semantics) and marks `checkedTids` for
-    * `dc.id`.
-    */
-  def applyFixes(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
-                 dc: InequalityDc): DataFrame = {
-    var out = state
-    for (a <- dc.attrs) {
-      val fa = fixesDf.filter(col("attr") === a)
-        .select(col(tidC), col("cands").as(s"__dcfix_$a"))
-      out = out.join(fa, Seq(tidC), "left")
-        .withColumn(ProbData.candCol(a),
-          when(col(s"__dcfix_$a").isNull, col(ProbData.candCol(a)))
-            .otherwise(ProbData.mergeCands(col(ProbData.candCol(a)), col(s"__dcfix_$a"))))
-        .drop(s"__dcfix_$a")
-    }
-    ProbData.markChecked(out, checkedTids, dc.id)
-  }
-
-  /** Overwrite variant used by the incremental DC path: the fixes are
-    * always recomputed from the *accumulated* violation-pair set, so
-    * the candidate columns of the DC attributes are replaced, not
-    * merged (an attribute may be governed by at most one DC — Daisy
-    * asserts this at load).
+  /** Applies DC fixes to the state: the per-attribute fixes replace the
+    * candidate sets of the DC's attributes (tuples without a fix become
+    * clean), and `checkedTids` are marked checked by `dc`. Callers pass
+    * the fixes of every violation pair found so far, and no other rule
+    * writes a DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]),
+    * so nothing but the DC's own earlier fixes is replaced.
     */
   def applyFixesOverwrite(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
                           dc: InequalityDc): DataFrame = {
@@ -138,5 +107,18 @@ object DcRepair {
         .drop(s"__dcfix_$a")
     }
     ProbData.markChecked(out, checkedTids, dc.id)
+  }
+
+  /** The DC clean path shared by Daisy and the offline cleaner: repairs
+    * every pair of `violations` (from [[ThetaJoin.violations]]) and marks
+    * the tuples of those pairs checked by `dc`. Returns the materialized
+    * state and the tids of the marked tuples.
+    */
+  def clean(state: DataFrame, violations: DataFrame, dc: InequalityDc,
+            maxFixAtoms: Int = 1): (DataFrame, DataFrame) = {
+    val touched = violations.select(col(tidC + "1").as(tidC))
+      .union(violations.select(col(tidC + "2").as(tidC))).distinct()
+    val fixesDf = fixes(violations, dc, maxFixAtoms)
+    (applyFixesOverwrite(state, fixesDf, touched, dc).materialized, touched)
   }
 }

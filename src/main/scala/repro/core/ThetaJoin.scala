@@ -30,39 +30,46 @@ object ThetaJoin {
   /** Result of bucketizing: stats plus the input with a `__b` column. */
   final case class Bucketized(data: DataFrame, stats: Seq[BucketStat],
                               axis: String, lo: Double, hi: Double, nRanges: Int) {
-    def bucketOfValue(v: Double): Int =
-      if (hi == lo) 0
-      else math.min(nRanges - 1, math.max(0, ((v - lo) / (hi - lo) * nRanges).toInt))
+    def width: Double = if (hi > lo) (hi - lo) / nRanges else 1.0
+
+    /** The `__b` of a tuple of any state of the bucketized relation: its
+      * equi-width range of the axis value, null for a null axis value.
+      */
+    def bucket: Column = {
+      val v = col(axis).cast("double")
+      when(v.isNotNull,
+        least(lit(nRanges - 1), greatest(lit(0), floor((v - lit(lo)) / lit(width)).cast("int"))))
+    }
   }
 
   /** Splits the dataset into √p equi-width ranges on the first atom's
     * attribute (the matrix axis) and collects per-bucket boundaries of
-    * every DC attribute.
+    * every DC attribute. A tuple whose axis value is null cannot satisfy
+    * the first atom, so it gets no bucket (`__b` null); an empty table or
+    * an all-null axis gives no buckets at all.
     */
   def bucketize(df: DataFrame, dc: InequalityDc, p: Int): Bucketized = {
     val axis = dc.atoms.head.attr
     val nRanges = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
     val mm = df.agg(min(col(axis).cast("double")).as("lo"), max(col(axis).cast("double")).as("hi"))
       .collect().head
-    val (lo, hi) = (mm.getDouble(0), mm.getDouble(1))
-    val width = if (hi > lo) (hi - lo) / nRanges else 1.0
-    val data = df.withColumn("__b",
-      least(lit(nRanges - 1), greatest(lit(0),
-        floor((col(axis).cast("double") - lit(lo)) / lit(width)).cast("int"))))
+    val (lo, hi) = if (mm.isNullAt(0)) (0.0, 0.0) else (mm.getDouble(0), mm.getDouble(1))
+    val shape = Bucketized(df, Nil, axis, lo, hi, nRanges)
+    val data = df.withColumn("__b", shape.bucket)
 
     val aggCols = dc.attrs.flatMap(a => Seq(
       min(col(a).cast("double")).as(s"__min_$a"), max(col(a).cast("double")).as(s"__max_$a")))
     val allAggs = count(lit(1)).as("__cnt") +: aggCols
-    val statRows = data.groupBy("__b")
+    val statRows = data.filter(col("__b").isNotNull).groupBy("__b")
       .agg(allAggs.head, allAggs.tail: _*)
       .collect()
     val stats = statRows.map { r =>
       val b = r.getAs[Int]("__b")
       BucketStat(b,
-        lo + b * width, lo + (b + 1) * width, r.getAs[Long]("__cnt"),
+        lo + b * shape.width, lo + (b + 1) * shape.width, r.getAs[Long]("__cnt"),
         dc.attrs.map(a => a -> (r.getAs[Double](s"__min_$a"), r.getAs[Double](s"__max_$a"))).toMap)
     }.sortBy(_.idx).toSeq
-    Bucketized(data, stats, axis, lo, hi, nRanges)
+    shape.copy(data = data, stats = stats)
   }
 
   /** True iff atom `t1.a op t2.a` can hold between value intervals

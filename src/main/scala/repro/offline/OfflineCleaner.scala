@@ -47,6 +47,7 @@ object OfflineCleaner {
   def run(df: DataFrame, rules: Seq[Rule], mode: Mode = Mode.Bulk,
           timeoutSec: Double = Double.PositiveInfinity,
           dcPartitions: Int = 64): Result = {
+    Rule.requireExclusiveDcAttrs(rules)
     val t0 = System.nanoTime()
     var state = ProbData.init(df, rules).materialized
     var timedOut = false
@@ -65,11 +66,7 @@ object OfflineCleaner {
       case dc: InequalityDc =>
         val buck = ThetaJoin.bucketize(state, dc, dcPartitions)
         val pairs = ThetaJoin.candidatePairs(dc, buck.stats)
-        val vios = ThetaJoin.violations(buck.data, dc, pairs, buck.stats)
-        val fixes = DcRepair.fixes(vios, dc)
-        val touched = vios.select(col(tidC + "1").as(tidC))
-          .union(vios.select(col(tidC + "2").as(tidC))).distinct()
-        state = DcRepair.applyFixes(state, fixes, touched, dc).materialized
+        state = DcRepair.clean(state, ThetaJoin.violations(buck.data, dc, pairs, buck.stats), dc)._1
     }
     Result(state, (System.nanoTime() - t0) / 1e9, timedOut, done, total)
   }

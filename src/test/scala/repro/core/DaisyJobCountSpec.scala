@@ -4,13 +4,18 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
-import repro.data.Hospital
+import repro.data.{Hospital, SSB}
 
-/** Spark jobs per `Daisy.execute` on the FD clean path: one signature
+/** Spark jobs per `Daisy.execute`. On the FD clean path: one signature
   * collection, the broadcast of the fix table, one materialized state
   * rewrite and the result count for a cleaned query; the collection and
-  * the count for a pruned one. The bounds keep a return to per-iteration
-  * or per-intermediate jobs from passing unnoticed.
+  * the count for a pruned one. On the DC path: the bucketization on the
+  * rule's first use (two collections and its materialization), one
+  * collection of the answer's buckets, one detection, one materialized
+  * state rewrite, the count of the touched tuples and the result count.
+  * The bounds keep a return to per-iteration or per-intermediate jobs,
+  * to a second detection or to DataFrame bookkeeping from passing
+  * unnoticed.
   */
 class DaisyJobCountSpec extends SparkSpec {
 
@@ -45,5 +50,33 @@ class DaisyJobCountSpec extends SparkSpec {
       where = Seq(Pred("hospital_type", "=", "type_1")), select = select)))
     assert(daisy.lastReport.perRule.head.skippedByPruning)
     assert(pruned <= 2, s"pruned query ran $pruned jobs")
+  }
+
+  test("price/discount DC on a small lineorder table: one detection per cleaned query") {
+    val data = SSB.lineorder(spark, nRows = 400, nOrderkeys = 20, nSuppkeys = 10,
+      discountErrPct = 0.05)
+    val dc = SSB.PriceDiscountDc
+    def band(lo: Int) = QuerySpec("lo", select = Seq("extendedprice", "discount"),
+      where = Seq(Pred("extendedprice", ">=", lo.toString),
+        Pred("extendedprice", "<", (lo + 22500).toString)))
+
+    // Algorithm 2 switches the first query to full cleaning; afterwards
+    // every bucket is seen, so a later query needs no detection.
+    val daisy = Daisy.single(spark, "lo", data.dirty, Seq(dc))
+    val (_, full) = jobsOf(daisy.execute(band(23400)))
+    assert(daisy.lastReport.perRule.head.switchedToFull)
+    assert(full <= 9, s"full-cleaning query ran $full jobs")
+    val (_, afterFull) = jobsOf(daisy.execute(band(45900)))
+    assert(!daisy.lastReport.perRule.head.switchedToFull)
+    assert(afterFull <= 3, s"query after full cleaning ran $afterFull jobs")
+
+    // Partial cleaning: the first query also bucketizes, the second
+    // detects over its new tuples only.
+    val partial = Daisy.single(spark, "lo", data.dirty, Seq(dc), DaisyOptions(dcThreshold = 1.1))
+    val (_, first) = jobsOf(partial.execute(band(23400)))
+    assert(first <= 9, s"first partial query ran $first jobs")
+    val (_, second) = jobsOf(partial.execute(band(45900)))
+    assert(partial.lastReport.perRule.head.dirty > 0)
+    assert(second <= 6, s"second partial query ran $second jobs")
   }
 }

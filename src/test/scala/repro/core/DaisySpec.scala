@@ -248,4 +248,35 @@ class DaisySpec extends SparkSpec {
         Seq(TestData.salaryDc, dc2))
     }
   }
+
+  test("an FD and an inequality DC on the same attribute are rejected") {
+    assertThrows[IllegalArgumentException] {
+      Daisy.single(spark, "sal", TestData.salaries(spark),
+        Seq(Fd("fd_age_tax", "age", "tax"), TestData.salaryDc))
+    }
+  }
+
+  test("addRule rejects an inequality DC on an attribute another rule covers") {
+    val d = Daisy.single(spark, "sal", TestData.salaries(spark), Seq(Fd("fd_age_sal", "age", "salary")))
+    assertThrows[IllegalArgumentException](d.addRule("sal", TestData.salaryDc))
+    // The rejected rule is not registered.
+    d.execute(QuerySpec("sal", select = Seq("salary", "tax", "age")))
+    assert(d.lastReport.perRule.map(_.ruleId) == Seq("fd_age_sal"))
+  }
+
+  test("a DC over an empty table or an all-null attribute leaves the table clean") {
+    for ((df, n) <- Seq(TestData.emptySalaries(spark) -> 0L, TestData.nullSalaries(spark) -> 2L)) {
+      val d = Daisy.single(spark, "sal", df, Seq(TestData.salaryDc))
+      val res = d.execute(QuerySpec("sal", where = Seq(Pred("tax", ">=", "0")),
+        select = Seq("salary", "tax")))
+      assert(res.count() == n)
+      val rep = d.lastReport.perRule.head
+      assert(rep.dirty == 0 && !rep.switchedToFull && rep.dcDecision.isDefined)
+      d.cleanTableFully("sal")
+      val st = d.state("sal")
+      assert(st.count() == n)
+      assert(st.filter(ProbData.isDirty("salary") || ProbData.isDirty("tax") ||
+        ProbData.checkedBy(TestData.salaryDc.id)).count() == 0)
+    }
+  }
 }

@@ -21,7 +21,7 @@ class DcRepairSpec extends SparkSpec {
     val fixes = DcRepair.fixes(vios, dc)
     val touched = vios.select(col("__tid1").as("__tid"))
       .union(vios.select(col("__tid2").as("__tid"))).distinct()
-    DcRepair.applyFixes(state, fixes, touched, dc)
+    DcRepair.applyFixesOverwrite(state, fixes, touched, dc)
   }
 
   test("Example 5: t2 salary candidates are {<2000 50%, 3000 50%}") {

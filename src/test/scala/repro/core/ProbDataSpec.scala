@@ -145,4 +145,21 @@ class ProbDataSpec extends SparkSpec {
       .select(ProbData.candsToString("zip").as("s")).collect().head.getString(0)
     assert(s == "10001")
   }
+
+  test("materialized keeps sizeInBytes bounded across self-join generations") {
+    // localCheckpoint would carry each generation's join estimate into
+    // the next one, so the estimate compounds; the stats-free leaf
+    // reports the same size in every generation.
+    var df = spark.range(100).toDF("k").materialized
+    val sizes = (1 to 8).map { _ =>
+      val other = df.groupBy("k").count().withColumnRenamed("k", "k2")
+      df = df.join(other, col("k") === col("k2")).drop("k2", "count")
+        .join(other.withColumnRenamed("k2", "k3"), col("k") === col("k3")).drop("k3", "count")
+        .materialized
+      df.queryExecution.optimizedPlan.stats.sizeInBytes
+    }
+    assert(sizes.distinct == Seq(BigInt(spark.conf.get("spark.sql.defaultSizeInBytes"))),
+      s"sizeInBytes per generation: $sizes")
+    assert(df.count() == 100)
+  }
 }

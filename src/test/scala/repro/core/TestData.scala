@@ -46,6 +46,13 @@ object TestData {
       (3L, 2000.0, 0.3, 43),
     )).toDF("__tid", "salary", "tax", "age")
 
+  /** Example 5's schema with no rows, and with a null salary in every row. */
+  def emptySalaries(spark: SparkSession): DataFrame =
+    spark.createDataFrame(Seq.empty[(Long, Double, Double)]).toDF("__tid", "salary", "tax")
+  def nullSalaries(spark: SparkSession): DataFrame =
+    spark.createDataFrame(Seq((1L, Option.empty[Double], 0.1), (2L, None, 0.3)))
+      .toDF("__tid", "salary", "tax")
+
   val salaryDc: InequalityDc =
     InequalityDc("dc_sal_tax", Seq(Atom("salary", "<"), Atom("tax", ">")))
 

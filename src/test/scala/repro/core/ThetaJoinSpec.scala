@@ -132,4 +132,24 @@ class ThetaJoinSpec extends SparkSpec {
     val d = ThetaJoin.decide(dc, b.stats, Set.empty, Set.empty, 0L, 0.0)
     assert(d.fullCleaning == (d.errShare > 0.0))
   }
+
+  test("an empty table or an all-null axis gives no buckets and no violations") {
+    for (df <- Seq(TestData.emptySalaries(spark), TestData.nullSalaries(spark))) {
+      val b = ThetaJoin.bucketize(ProbData.init(df, Seq(dc)), dc, 16)
+      assert(b.stats.isEmpty)
+      assert(ThetaJoin.violations(b.data, dc, ThetaJoin.candidatePairs(dc, b.stats), b.stats)
+        .count() == 0)
+    }
+  }
+
+  test("tuples with a null axis value get no bucket and leave the others' stats intact") {
+    val st = ProbData.init(spark.createDataFrame(Seq((1L, Some(1000.0), 0.1),
+      (2L, None, 0.9), (3L, Some(3000.0), 0.05))).toDF("__tid", "salary", "tax"), Seq(dc))
+    val b = ThetaJoin.bucketize(st, dc, 4)
+    assert(b.stats.map(_.count).sum == 2)
+    assert(b.data.filter(col("__b").isNull).select("__tid").collect().map(_.getLong(0)).toSeq == Seq(2L))
+    val v = ThetaJoin.violations(b.data, dc, ThetaJoin.candidatePairs(dc, b.stats), b.stats)
+    assert(v.select("__tid1", "__tid2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet ==
+      Set((1L, 3L)))
+  }
 }

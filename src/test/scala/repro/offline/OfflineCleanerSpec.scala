@@ -74,4 +74,19 @@ class OfflineCleanerSpec extends SparkSpec {
     assert(res.state.filter(ProbData.isDirty("city")).count() == 0)
     assert(res.groupsTotal == 0)
   }
+
+  test("an FD and an inequality DC on the same attribute are rejected") {
+    assertThrows[IllegalArgumentException] {
+      OfflineCleaner.run(TestData.salaries(spark), Seq(Fd("fd_age_tax", "age", "tax"), TestData.salaryDc))
+    }
+  }
+
+  test("a DC over an empty table or an all-null attribute leaves the table clean") {
+    for ((df, n) <- Seq(TestData.emptySalaries(spark) -> 0L, TestData.nullSalaries(spark) -> 2L)) {
+      val st = OfflineCleaner.run(df, Seq(TestData.salaryDc)).state
+      assert(st.count() == n)
+      assert(st.filter(ProbData.isDirty("salary") || ProbData.isDirty("tax") ||
+        ProbData.checkedBy(TestData.salaryDc.id)).count() == 0)
+    }
+  }
 }
