@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.ProbData.MaterializeOps
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** FD violation detection and probabilistic repair (§4.1).
@@ -30,17 +31,27 @@ import scala.jdk.CollectionConverters._
   */
 object FdRepair {
 
-  /** Computed fixes for a tuple subset. */
+  /** Computed fixes for a tuple subset: the fix table `keys`, one row
+    * per (lv, rv, dR, dL) key that receives a fix, for the tuples of
+    * `state` satisfying `subset`.
+    */
   final case class Fixes(
-      /** (tid, attr-candidate columns) — one row per repaired tuple. */
-      fixes: DataFrame,
       /** Number of violating (dirty) tuples ε in the subset. */
       nDirty: Long,
       /** Number of violating lhs groups. */
       nDirtyGroups: Long,
-      /** The fixes keyed by (lv, rv, dR, dL), and the subset they apply to. */
-      private[core] byKey: DataFrame,
-      private[core] subset: Column)
+      private[core] state: DataFrame, private[core] fd: Fd,
+      private[core] keys: Seq[Row], private[core] subset: Column) {
+
+    private[core] lazy val byKey: DataFrame = state.sparkSession.createDataFrame(keys.asJava,
+      StructType(Seq(StructField("__lv", StringType), StructField("__rv", StringType),
+        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
+        (fd.lhs :+ fd.rhs).map(a => StructField(fixCol(a), ProbData.CandType))))
+
+    /** (tid, attr-candidate columns) — one row per repaired tuple. */
+    lazy val fixes: DataFrame = keyed(state, fd, subset).join(broadcast(byKey), keyCond)
+      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(fixCol(a)))): _*)
+  }
 
   private val tidC = ProbData.TidCol
 
@@ -107,15 +118,8 @@ object FdRepair {
       else Some(Row.fromSeq(Seq(lv, rv, dR, dL) ++ lhsParts(fd, fixL) :+ fixR))
     }
 
-    val schema = StructType(
-      Seq(StructField("__lv", StringType), StructField("__rv", StringType),
-        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
-        (fd.lhs :+ fd.rhs).map(a => StructField(fixCol(a), ProbData.CandType)))
-    val byKey = g.state.sparkSession.createDataFrame(rows.asJava, schema)
-    val tupleFixes = keyed(g.state, fd, subset).join(broadcast(byKey), keyCond)
-      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(fixCol(a)))): _*)
-    Fixes(tupleFixes, g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size,
-      byKey, subset)
+    Fixes(g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size, g.state, fd, rows,
+      subset)
   }
 
   /** Splits concatenated lhs candidates into per-attribute candidate
@@ -176,5 +180,24 @@ object FdRepair {
     val g = FdGraph.collect(state, fd, subset)
     val fixes = fixesOf(g, _.in, g.member)
     (rewrite(state, fd, fixes, g.member).materialized, fixes)
+  }
+
+  /** The per-group form of [[clean]] (§5.2.1's pass per erroneous
+    * group): one signature collection and driver-side fixes for each
+    * lhs value of `lvs` until `stop` holds after a group, then one
+    * materialized rewrite that merges the processed groups' fixes and
+    * marks their tuples checked. Fixes read base values only, so on
+    * those tuples the state equals [[clean]]'s. `nDirtyGroups` of the
+    * returned fixes counts the processed groups.
+    */
+  def cleanGroups(state: DataFrame, fd: Fd, lvs: IndexedSeq[String], stop: => Boolean): (DataFrame, Fixes) = {
+    val parts = mutable.ArrayBuffer[Fixes]()
+    while (parts.size < lvs.size && (parts.isEmpty || !stop)) {
+      val g = FdGraph.collect(state, fd, FdGraph.baseLhs(fd) === lvs(parts.size))
+      parts += fixesOf(g, _.in, g.member)
+    }
+    val subset = FdGraph.baseLhs(fd).isin(lvs.take(parts.size): _*)
+    val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, state, fd, parts.flatMap(_.keys).toSeq, subset)
+    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset).materialized, fixes)
   }
 }

@@ -142,7 +142,7 @@ object ProbData {
           (v, op, rs.map(_.getLong(4)).sum, rs.map(_.getString(3)).distinct.sorted.mkString("+"))
         }
       val total = grouped.map(_._3).sum.toDouble.max(1.0)
-      grouped.sortBy { case (v, op, _, _) => (op, v) }
+      grouped.sortBy { case (v, op, _, _) => (op, Option(v)) }
         .map { case (v, op, n, w) => Row(v, op, n / total, w, n) }
     }
   }

@@ -11,7 +11,8 @@ import repro.core.ProbData.MaterializeOps
   *  - Nestle: 37 SP queries on the Category attribute covering ~40% of
   *    the dataset, FD material → category, 95% conflicting materials.
   *    Offline cleaning repairs every erroneous group with per-group
-  *    passes (the O(ε·n) shape) and collapses on the larger version.
+  *    passes (the O(ε·n) shape: one Spark job per group, the same
+  *    state as a bulk repair) and collapses on the larger version.
   *  - Air quality: 52 per-county aggregate queries, FD
   *    (county_code, state_code) → county_name. Offline cleaning runs
   *    under a scaled-down version of the paper's one-day timeout and

@@ -5,6 +5,7 @@ import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.data.{Hospital, SSB}
+import repro.offline.OfflineCleaner
 
 /** Spark jobs per `Daisy.execute`. On the FD clean path: one signature
   * collection, the broadcast of the fix table, one materialized state
@@ -13,9 +14,12 @@ import repro.data.{Hospital, SSB}
   * rule's first use (two collections and its materialization), one
   * collection of the answer's buckets, one detection, one materialized
   * state rewrite, the count of the touched tuples and the result count.
-  * The bounds keep a return to per-iteration or per-intermediate jobs,
-  * to a second detection or to DataFrame bookkeeping from passing
-  * unnoticed.
+  * The offline cleaner's per-group mode runs one signature collection
+  * per dirty group plus a constant (the initial materialization, the
+  * detection, one rewrite and the clean-group pass), the O(ε·n) shape
+  * Table 8 depends on. The bounds keep a return to per-iteration or
+  * per-intermediate jobs, to a second detection or to DataFrame
+  * bookkeeping from passing unnoticed.
   */
 class DaisyJobCountSpec extends SparkSpec {
 
@@ -78,5 +82,13 @@ class DaisyJobCountSpec extends SparkSpec {
     val (_, second) = jobsOf(partial.execute(band(45900)))
     assert(partial.lastReport.perRule.head.dirty > 0)
     assert(second <= 6, s"second partial query ran $second jobs")
+  }
+
+  test("per-group offline cleaning runs one job per dirty group plus a constant") {
+    val data = SSB.lineorder(spark, nRows = 600, nOrderkeys = 30, nSuppkeys = 8)
+    val (res, jobs) = jobsOf(OfflineCleaner.run(data.dirty, Seq(SSB.Phi), OfflineCleaner.Mode.PerGroup))
+    val g = res.groupsTotal
+    assert(!res.timedOut && res.groupsProcessed == g && g > 10)
+    assert(g <= jobs && jobs <= g + 8, s"$jobs jobs for $g dirty groups")
   }
 }

@@ -241,6 +241,17 @@ class DaisySpec extends SparkSpec {
       canon(offline.state, Seq("zip", "city")))
   }
 
+  test("a null rhs in a dirty group is one of the group's candidates") {
+    val expected = Seq[(String, String, Double)]((null, "=", 0.33), ("a", "=", 0.33), ("b", "=", 0.33))
+    val d = Daisy.single(spark, "t", TestData.nullCities(spark), Seq(fd))
+    d.execute(QuerySpec("t", select = Seq("zip", "city")))
+    val offline = OfflineCleaner.run(TestData.nullCities(spark), Seq(fd))
+    for (st <- Seq(d.state("t"), offline.state)) {
+      val city = TestData.candsOf(st, "city")
+      assert((0L to 2L).map(city) == Seq.fill(3)(expected) && city(3L).isEmpty)
+    }
+  }
+
   test("an attribute constrained by two inequality DCs is rejected") {
     val dc2 = InequalityDc("other", Seq(Atom("salary", ">"), Atom("tax", "<")))
     assertThrows[IllegalArgumentException] {

@@ -20,6 +20,11 @@ object TestData {
 
   val cityFd: Fd = Fd("fd_zip_city", "zip", "city")
 
+  /** A dirty zip group whose cities are `a`, `b` and null, and a clean one. */
+  def nullCities(spark: SparkSession): DataFrame =
+    spark.createDataFrame(Seq((0L, "1", "a"), (1L, "1", "b"), (2L, "1", null), (3L, "2", "c")))
+      .toDF("__tid", "zip", "city")
+
   /** Table 4a — Cities for the join example (§4.4, Example 6). */
   def citiesJoin(spark: SparkSession): DataFrame =
     spark.createDataFrame(Seq(
@@ -70,7 +75,7 @@ object TestData {
         val tid = r.getLong(0)
         val cands = Option(r.getSeq[Row](1)).getOrElse(Seq.empty)
           .map(c => (c.getString(0), c.getString(1), math.rint(c.getDouble(2) * 100) / 100))
-          .sortBy(c => (c._1, c._2))
+          .sortBy(c => (Option(c._1), c._2))
         tid -> cands
       }.toMap
   }

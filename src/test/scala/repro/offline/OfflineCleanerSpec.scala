@@ -4,17 +4,29 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
-import repro.data.SSB
+import repro.data.{Hospital, SSB}
 
 /** Offline comparator: bulk and per-group modes must agree. */
 class OfflineCleanerSpec extends SparkSpec {
 
   private val fd = TestData.cityFd
 
-  private def canon(state: DataFrame, attrs: Seq[String]): Seq[String] =
-    attrs.foldLeft(state)((df, a) => df.withColumn(a + "_v", ProbData.candsToString(a)))
-      .select((Seq("__tid") ++ attrs.map(_ + "_v")).map(col): _*)
-      .collect().map(_.toSeq.mkString("|")).sorted.toSeq
+  /** tid → canonical candidate sets of `attrs` and the sorted checked marks. */
+  private def canon(state: DataFrame, attrs: Seq[String]): Map[Long, Seq[Any]] =
+    attrs.foldLeft(state)((df, a) => ProbData.canonCands(df, a))
+      .select((col(ProbData.TidCol) +: attrs.map(a => col(ProbData.candCol(a))) :+
+        array_sort(col(ProbData.ChkCol))): _*)
+      .collect().map(r => r.getLong(0) -> r.toSeq.tail).toMap
+
+  /** Runs both modes on `df`, asserts equal states, returns the per-group run. */
+  private def perGroupEqualsBulk(df: DataFrame, rules: Seq[Fd]): OfflineCleaner.Result = {
+    val attrs = rules.flatMap(_.attrs).distinct
+    val bulk = OfflineCleaner.run(df, rules, OfflineCleaner.Mode.Bulk)
+    val perG = OfflineCleaner.run(df, rules, OfflineCleaner.Mode.PerGroup)
+    assert(!perG.timedOut && perG.groupsProcessed == bulk.groupsProcessed)
+    assert(canon(perG.state, attrs) == canon(bulk.state, attrs))
+    perG
+  }
 
   test("bulk mode produces the Table 2b probabilistic dataset") {
     val res = OfflineCleaner.run(TestData.cities(spark), Seq(fd))
@@ -25,18 +37,16 @@ class OfflineCleanerSpec extends SparkSpec {
   }
 
   test("per-group mode equals bulk mode on the cities fixture") {
-    val bulk = OfflineCleaner.run(TestData.cities(spark), Seq(fd), OfflineCleaner.Mode.Bulk)
-    val perG = OfflineCleaner.run(TestData.cities(spark), Seq(fd), OfflineCleaner.Mode.PerGroup)
-    assert(canon(bulk.state, Seq("zip", "city")) == canon(perG.state, Seq("zip", "city")))
-    assert(perG.groupsProcessed == 2)
+    assert(perGroupEqualsBulk(TestData.cities(spark), Seq(fd)).groupsProcessed == 2)
+    // The same with a null city in the dirty group.
+    assert(perGroupEqualsBulk(TestData.nullCities(spark), Seq(fd)).groupsProcessed == 1)
   }
 
-  test("per-group mode equals bulk mode on generated SSB data") {
-    val data = SSB.lineorder(spark, 600, 30, 8)
-    val bulk = OfflineCleaner.run(data.dirty, Seq(SSB.Phi), OfflineCleaner.Mode.Bulk)
-    val perG = OfflineCleaner.run(data.dirty, Seq(SSB.Phi), OfflineCleaner.Mode.PerGroup)
-    assert(canon(bulk.state, Seq("orderkey", "suppkey")) ==
-      canon(perG.state, Seq("orderkey", "suppkey")))
+  test("per-group mode equals bulk mode on generated SSB and hospital data") {
+    perGroupEqualsBulk(SSB.lineorder(spark, 600, 30, 8).dirty, Seq(SSB.Phi))
+    val hosp = Hospital.generate(spark, nHospitals = 40, rowsPer = 6,
+      nTie = 4, nMinority = 5, nZipErr = 5, zipErrRows = 2)
+    perGroupEqualsBulk(hosp.dirty, Hospital.Rules)
   }
 
   test("timeout aborts the per-group loop and reports partial progress") {
@@ -45,6 +55,15 @@ class OfflineCleanerSpec extends SparkSpec {
       OfflineCleaner.Mode.PerGroup, timeoutSec = 0.0)
     assert(res.timedOut)
     assert(res.groupsProcessed < res.groupsTotal || res.groupsTotal == 0)
+    // Only the groups the loop reached are checked; the tuples of the
+    // others stay unchecked and certain.
+    val dirty = FdGraph.collect(ProbData.init(data.dirty, Seq(SSB.Phi)), SSB.Phi, lit(true))
+      .dirtyGroups(_ => true).keys.toSeq
+    val inDirty = res.state.filter(col("orderkey").isin(dirty: _*))
+    val checked = ProbData.checkedBy(SSB.Phi.id)
+    assert(inDirty.filter(checked).select("orderkey").distinct().count() == res.groupsProcessed &&
+      inDirty.filter(!checked && (ProbData.isDirty("orderkey") || ProbData.isDirty("suppkey")))
+        .count() == 0)
   }
 
   test("multiple rules are applied sequentially and merged") {
