@@ -61,16 +61,15 @@ object CleanOps {
     pairs.join(l, "__ltid").join(r, "__rtid")
   }
 
-  /** Incremental join update (§5.1, Fig. 3): joins only the `extra`
-    * right tuples against the left part and unions with the existing
-    * result — the second join of the plan after `clean_⋈` runs.
+  /** Incremental join update (§5.1, Fig. 3): replaces the rows of the
+    * `rightExtra` tuples in the existing result by their join against
+    * the left part — the second join of the plan after `clean_⋈` runs.
     */
   def incrementalJoin(existing: DataFrame, left: DataFrame, rightExtra: DataFrame,
                       leftKey: String, rightKey: String): DataFrame = {
-    val add = probEquiJoin(left, rightExtra, leftKey, rightKey)
-    val aligned = add.select(existing.columns.map(col): _*)
-    existing.union(aligned)
-      .dropDuplicates("__ltid", "__rtid")
+    val cols = existing.columns.map(col)
+    existing.join(rightExtra.select(col(tidC).as("__rtid")), Seq("__rtid"), "left_anti").select(cols: _*)
+      .union(probEquiJoin(left, rightExtra, leftKey, rightKey).select(cols: _*))
   }
 
   private def renameRight(right: DataFrame, leftCols: Set[String]): DataFrame = {

@@ -102,23 +102,20 @@ final class Daisy(val spark: SparkSession,
 
     // --- join: clean_⋈ ---------------------------------------------
     for (j <- q.join) {
-      val rightState0 = states(j.rightTable)
-      val rightPart = rightState0.filter(ProbData.qualifiesAll(rightState0, j.rightWhere))
-      var joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey)
-        .materialized
-
+      // Read from the current state: before the join-side steps for the
+      // join, after them for the re-join.
+      def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
+      val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).materialized
       lazy val rightQual = FdGraph.memberOf(joined.select("__rtid"))
-      for (step <- plan.steps if step.isJoinSide) {
-        reports += runStep(j.rightTable, step, rightQual)
-        // Incremental join (Fig. 3): only the right tuples with a
-        // probabilistic rule attribute are re-joined and unioned into the
-        // existing result.
-        val changed = states(j.rightTable)
-          .filter(step.rule.attrs.map(ProbData.isDirty).reduce(_ || _))
-        joined = CleanOps.incrementalJoin(joined, result, changed, j.leftKey, j.rightKey)
-          .materialized
-      }
-      result = joined
+      val ran = plan.steps.filter(_.isJoinSide).map(step => step.rule -> runStep(j.rightTable, step, rightQual))
+      reports ++= ran.map(_._2)
+      // Incremental join (Fig. 3): the qualifying right tuples with a
+      // probabilistic attribute of a rule that ran are re-joined once.
+      val attrs = ran.collect { case (rule, r) if !r.skippedByPruning => rule.attrs }.flatten.distinct
+      result =
+        if (attrs.isEmpty) joined
+        else CleanOps.incrementalJoin(joined, result, rightPart.filter(attrs.map(ProbData.isDirty).reduce(_ || _)),
+          j.leftKey, j.rightKey).materialized
     }
 
     // --- aggregation (cleaning already pushed below it) ------------
@@ -273,17 +270,6 @@ final class Daisy(val spark: SparkSession,
       case fd: Fd => fullCleanRemaining(table, fd)
       case dc: InequalityDc =>
         dcRecords((table, dc.id)) = cleanDc(table, dc, dcRecord(table, dc).complete, lit(false))
-    }
-  }
-
-  /** The probabilistic dataset in exportable form: every rule attribute
-    * rendered with its candidate values and probabilities.
-    */
-  def probabilisticView(table: String): DataFrame = {
-    val st = states(table)
-    val ruleAttrs = rules.getOrElse(table, Nil).flatMap(_.attrs).distinct
-    ruleAttrs.foldLeft(st) { (df, a) =>
-      df.withColumn(a + "__view", ProbData.candsToString(a))
     }
   }
 }

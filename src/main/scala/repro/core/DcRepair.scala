@@ -90,23 +90,21 @@ object DcRepair {
   }
 
   /** Applies DC fixes to the state: the per-attribute fixes replace the
-    * candidate sets of the DC's attributes (tuples without a fix become
-    * clean), and `checkedTids` are marked checked by `dc`. Callers pass
-    * the fixes of every violation pair found so far, and no other rule
-    * writes a DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]),
-    * so nothing but the DC's own earlier fixes is replaced.
+    * candidate sets of the DC's attributes, and `checkedTids` are marked
+    * checked by `dc`, through one broadcast join of the state with a
+    * table of one row per fixed or marked tuple. Replacing is exact:
+    * callers pass the fixes of every violation pair found so far, so a
+    * DC cell without a fix never had a DC candidate, and no other rule
+    * writes a DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
     */
   def applyFixesOverwrite(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
                           dc: InequalityDc): DataFrame = {
-    var out = state
-    for (a <- dc.attrs) {
-      val fa = fixesDf.filter(col("attr") === a)
-        .select(col(tidC), col("cands").as(s"__dcfix_$a"))
-      out = out.join(fa, Seq(tidC), "left")
-        .withColumn(ProbData.candCol(a), col(s"__dcfix_$a"))
-        .drop(s"__dcfix_$a")
-    }
-    ProbData.markChecked(out, checkedTids, dc.id)
+    val perAttr = dc.attrs.map(a =>
+      first(when(col("attr") === a, col("cands")), ignoreNulls = true).as(ProbData.fixCol(a)))
+    val table = fixesDf.groupBy(tidC).agg(perAttr.head, perAttr.tail: _*)
+      .join(checkedTids.toDF(tidC).distinct().withColumn("__mark", lit(true)), Seq(tidC), "full_outer")
+    ProbData.applyFixTable(state.join(broadcast(table), Seq(tidC), "left"), state.columns.toSeq,
+      dc.attrs, dc.id, col("__mark"))((_, fix) => fix)
   }
 
   /** The DC clean path shared by Daisy and the offline cleaner: repairs

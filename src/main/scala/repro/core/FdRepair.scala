@@ -46,17 +46,14 @@ object FdRepair {
     private[core] lazy val byKey: DataFrame = state.sparkSession.createDataFrame(keys.asJava,
       StructType(Seq(StructField("__lv", StringType), StructField("__rv", StringType),
         StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
-        (fd.lhs :+ fd.rhs).map(a => StructField(fixCol(a), ProbData.CandType))))
+        (fd.lhs :+ fd.rhs).map(a => StructField(ProbData.fixCol(a), ProbData.CandType))))
 
     /** (tid, attr-candidate columns) — one row per repaired tuple. */
     lazy val fixes: DataFrame = keyed(state, fd, subset).join(broadcast(byKey), keyCond)
-      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(fixCol(a)))): _*)
+      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(ProbData.fixCol(a)))): _*)
   }
 
   private val tidC = ProbData.TidCol
-
-  /** Column name carrying the new candidate set of attribute `a`. */
-  def fixCol(a: String): String = s"__fix_$a"
 
   private def cand(v: String, p: Double, w: String, n: Long): Row = Row(v, "=", p, w, n)
 
@@ -156,22 +153,13 @@ object FdRepair {
     rewrite(state, fd, fixes, FdGraph.memberOf(subsetTids))
 
   /** The one state rewrite of the FD clean path: a broadcast join with
-    * the fix table merges the fixes of the fixed subset, and the tuples
-    * satisfying `mark` become checked by `fd`.
+    * the fix table merges the fixes of the fixed subset into the
+    * candidate sets (union semantics of §4.3), and the tuples satisfying
+    * `mark` become checked by `fd`.
     */
-  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame = {
-    val joined = keyed(state, fd, fixes.subset).withColumn("__kmark", coalesce(mark, lit(false)))
-      .join(broadcast(fixes.byKey), keyCond, "left")
-    val merged = (fd.lhs :+ fd.rhs).foldLeft(joined) { (df, a) =>
-      val cc = ProbData.candCol(a)
-      df.withColumn(cc, when(col(fixCol(a)).isNull, col(cc))
-        .otherwise(ProbData.mergeCands(col(cc), col(fixCol(a)))))
-    }
-    merged.withColumn(ProbData.ChkCol,
-        when(col("__kmark"), array_union(col(ProbData.ChkCol), array(lit(fd.id))))
-          .otherwise(col(ProbData.ChkCol)))
-      .select(state.columns.map(col): _*)
-  }
+  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame =
+    ProbData.applyFixTable(keyed(state, fd, fixes.subset).join(broadcast(fixes.byKey), keyCond, "left"),
+      state.columns.toSeq, fd.lhs :+ fd.rhs, fd.id, mark)(ProbData.mergeCands(_, _))
 
   /** Detects, repairs and marks checked the tuples satisfying `subset`
     * with one signature collection and one materialized rewrite.

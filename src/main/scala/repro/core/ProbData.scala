@@ -63,22 +63,17 @@ object ProbData {
     df.columns.contains(candCol(attr))
 
   /** Lifts a plain relation into Daisy's state representation: casts
-    * every rule attribute to string, keeps an existing `__tid` column or
-    * adds one, empty candidate sidecars for every rule attribute and an
-    * empty `__chk`.
+    * every rule attribute to string, adds empty candidate sidecars for
+    * every rule attribute and an empty `__chk`. The relation must carry
+    * its own `__tid` column: generated ids would depend on the input's
+    * partitioning, so Daisy and the offline cleaner could number one
+    * relation differently.
     */
   def init(df: DataFrame, rules: Seq[Rule]): DataFrame = {
+    require(df.columns.contains(TidCol),
+      s"the relation has no tuple-id column '$TidCol'; add a stable long id per row")
     val ruleAttrs = rules.flatMap(_.attrs).distinct.filter(df.columns.contains)
     var out = df
-    if (!out.columns.contains(TidCol)) {
-      // `monotonically_increasing_id` encodes the partition index in the
-      // upper bits: the ids are unique but depend on the input's
-      // partitioning, so two `init` calls on differently partitioned
-      // copies of one relation may number its rows differently. Every
-      // generator in `repro.data` emits `__tid` itself; the gap is ROADMAP
-      // item 4.
-      out = out.withColumn(TidCol, monotonically_increasing_id())
-    }
     for (a <- ruleAttrs)
       out = out.withColumn(a, col(a).cast(StringType))
         .withColumn(candCol(a), lit(null).cast(CandType))
@@ -179,16 +174,25 @@ object ProbData {
         "|"))
   }
 
-  /** Marks `ruleId` as checked on the rows whose tid appears in
-    * `tids` (a single-column DataFrame of tuple ids).
+  /** Column name carrying the new candidate set of attribute `a` in a
+    * fix table.
     */
-  def markChecked(state: DataFrame, tids: DataFrame, ruleId: String): DataFrame = {
-    val t = tids.toDF(TidCol).distinct().withColumn("__hit", lit(true))
-    state.join(t, Seq(TidCol), "left")
-      .withColumn(ChkCol,
-        when(col("__hit"), array_union(col(ChkCol), array(lit(ruleId))))
-          .otherwise(col(ChkCol)))
-      .drop("__hit")
+  def fixCol(a: String): String = s"__fix_$a"
+
+  /** The one candidate-apply step of every rule (§4.3). `joined` is the
+    * state left-joined with a fix table holding a [[fixCol]] per
+    * attribute of `attrs`; a tuple with a fix for `a` gets
+    * `update(old, fix)` as the candidate set of `a`, a tuple satisfying
+    * `mark` becomes checked by `ruleId`, and the result has the state's
+    * `columns`. Every expression reads the joined row before the update.
+    */
+  def applyFixTable(joined: DataFrame, columns: Seq[String], attrs: Seq[String], ruleId: String,
+                    mark: Column)(update: (Column, Column) => Column): DataFrame = {
+    val updated = attrs.map { a =>
+      val (cc, fc) = (col(candCol(a)), col(fixCol(a)))
+      candCol(a) -> when(fc.isNull, cc).otherwise(update(cc, fc))
+    }.toMap + (ChkCol -> when(mark, array_union(col(ChkCol), array(lit(ruleId)))).otherwise(col(ChkCol)))
+    joined.select(columns.map(c => updated.get(c).fold(col(c))(_.as(c))): _*)
   }
 
   /** True for tuples already checked by `ruleId`. */

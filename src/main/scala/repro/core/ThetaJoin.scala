@@ -125,11 +125,14 @@ object ThetaJoin {
     * excluded (the incremental matrix subset of §4.2: result × unseen
     * plus result × result, never seen × seen again).
     *
+    * `stats` are the bucketization's statistics; the bucket indices of
+    * `pairs` refer to them.
+    *
     * Returns (tid1, tid2, dir) with tid1 < tid2; `dir` = "12", "21" or
     * "both" — which orientation violates.
     */
   def violations(df: DataFrame, dc: InequalityDc, pairs: Seq[(Int, Int)],
-                 stats: Seq[BucketStat] = Nil): DataFrame = {
+                 stats: Seq[BucketStat]): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
     val hasSeen = df.columns.contains("__seen")
@@ -162,16 +165,12 @@ object ThetaJoin {
       (lo, hi)
     }
     val enriched = pairs.map { case (i, j) =>
-      if (byIdx.isEmpty) (i, j, Double.NegativeInfinity, Double.PositiveInfinity,
-        Double.NegativeInfinity, Double.PositiveInfinity)
-      else {
-        val si = byIdx(i); val sj = byIdx(j)
-        val o12 = orientationPossible(dc, si, sj) // left t1, right t2
-        val o21 = orientationPossible(dc, sj, si) // right t1, left t2
-        val (lLo, lHi) = hull(o21, o12, sj.bounds(axis))
-        val (rLo, rHi) = hull(o12, o21, si.bounds(axis))
-        (i, j, lLo, lHi, rLo, rHi)
-      }
+      val si = byIdx(i); val sj = byIdx(j)
+      val o12 = orientationPossible(dc, si, sj) // left t1, right t2
+      val o21 = orientationPossible(dc, sj, si) // right t1, left t2
+      val (lLo, lHi) = hull(o21, o12, sj.bounds(axis))
+      val (rLo, rHi) = hull(o12, o21, si.bounds(axis))
+      (i, j, lLo, lHi, rLo, rHi)
     }
     val pairDf = enriched.toDF("__bi", "__bj", "__lLo", "__lHi", "__rLo", "__rHi")
     val left  = base.join(pairDf, base("__b") === pairDf("__bi") &&
@@ -216,15 +215,6 @@ object ThetaJoin {
   // ---------------------------------------------------------------------
   // Algorithm 2: Estimate_Errors + accuracy / support decision.
   // ---------------------------------------------------------------------
-
-  /** Interval overlap fraction relative to the union span (0 when the
-    * intervals cannot produce the atom in any orientation).
-    */
-  private[core] def overlapFraction(l1: Double, h1: Double, l2: Double, h2: Double): Double = {
-    val inter = math.min(h1, h2) - math.max(l1, l2)
-    val span  = math.max(h1, h2) - math.min(l1, l2)
-    if (span <= 0) 1.0 else math.max(0.0, inter) / span
-  }
 
   /** P(v1 op v2) for v1 ~ U(a,b), v2 ~ U(c,d) — point intervals are
     * handled as atoms at the boundary. This is the per-atom conflict

@@ -32,8 +32,14 @@ import repro.core.ProbData.MaterializeOps
   */
 object HolocleanLite {
 
-  final case class Config(domainK: Int = 4, sweeps: Int = 3,
-                          wCooc: Double = 1.0, wMin: Double = 0.4, wVio: Double = 1.2)
+  /** Domain size after pruning, inference sweeps, and the feature
+    * weights of co-occurrence, minimality and violation reduction.
+    */
+  private val DomainK = 4
+  private val Sweeps = 3
+  private val WCooc = 1.0
+  private val WMin = 0.4
+  private val WVio = 1.2
 
   /** (tid, attr, value) cell updates plus wall time. */
   final case class Repairs(updates: DataFrame, seconds: Double)
@@ -104,14 +110,14 @@ object HolocleanLite {
     * `domains`: (tid, attr, v, cooc, orig). Returns the final repairs
     * (cells whose argmax differs from the original value).
     */
-  def infer(df: DataFrame, domains0: DataFrame, fds: Seq[Fd], cfg: Config): DataFrame = {
+  def infer(df: DataFrame, domains0: DataFrame, fds: Seq[Fd]): DataFrame = {
     val domains = domains0.materialized
     val maxCooc = domains.agg(coalesce(max("cooc"), lit(1.0))).collect().head.getDouble(0)
     var assigned = domains.select(col(tidC), col("attr"), col("orig").as("cur"))
       .distinct().materialized
 
     var result: DataFrame = null
-    for (_ <- 1 to cfg.sweeps) {
+    for (_ <- 1 to Sweeps) {
       // Current view of the dataset with assignments applied.
       var cur = df
       for (a <- domains.select("attr").distinct().collect().map(_.getString(0))) {
@@ -162,9 +168,9 @@ object HolocleanLite {
       val scored = domains
         .join(vioAgg, Seq(tidC, "attr", "v"), "left")
         .withColumn("score",
-          lit(cfg.wCooc) * col("cooc") / maxCooc +
-            lit(cfg.wMin) * when(col("v") === col("orig"), 1.0).otherwise(0.0) +
-            lit(cfg.wVio) * coalesce(col("vio"), lit(0.0)))
+          lit(WCooc) * col("cooc") / maxCooc +
+            lit(WMin) * when(col("v") === col("orig"), 1.0).otherwise(0.0) +
+            lit(WVio) * coalesce(col("vio"), lit(0.0)))
       val w = Window.partitionBy(tidC, "attr").orderBy(col("score").desc, col("v"))
       result = scored.withColumn("__rk", row_number().over(w)).filter(col("__rk") === 1)
         .select(col(tidC), col("attr"), col("v"), col("orig")).materialized
@@ -174,14 +180,14 @@ object HolocleanLite {
   }
 
   /** Full HoloClean-lite run: detect → domains → infer. */
-  def run(df: DataFrame, fds: Seq[Fd], cfg: Config = Config()): Repairs = {
+  def run(df: DataFrame, fds: Seq[Fd]): Repairs = {
     val t0 = System.nanoTime()
     val cells = dirtyCells(df, fds).materialized
     val updates =
       if (cells.isEmpty) cells.select(col(tidC), col("attr"), col("orig").as("v"))
       else {
-        val domains = coocDomains(df, cells, cfg.domainK).materialized
-        infer(df, domains, fds, cfg)
+        val domains = coocDomains(df, cells, DomainK).materialized
+        infer(df, domains, fds)
       }
     val out = updates.materialized
     Repairs(out, (System.nanoTime() - t0) / 1e9)
@@ -191,14 +197,13 @@ object HolocleanLite {
     * `daisyDomains`: (tid, attr, v, p, orig) extracted from Daisy's
     * probabilistic state — p plays the role of the statistics score.
     */
-  def runDaisyH(df: DataFrame, daisyDomains: DataFrame, fds: Seq[Fd],
-                cfg: Config = Config()): Repairs = {
+  def runDaisyH(df: DataFrame, daisyDomains: DataFrame, fds: Seq[Fd]): Repairs = {
     val t0 = System.nanoTime()
     val domains = daisyDomains.withColumnRenamed("p", "cooc")
     val updates =
       if (domains.isEmpty)
         domains.select(col(tidC), col("attr"), col("v"))
-      else infer(df, domains, fds, cfg)
+      else infer(df, domains, fds)
     Repairs(updates.materialized, (System.nanoTime() - t0) / 1e9)
   }
 

@@ -14,6 +14,9 @@ import repro.offline.OfflineCleaner
   * rule's first use (two collections and its materialization), one
   * collection of the answer's buckets, one detection, one materialized
   * state rewrite, the count of the touched tuples and the result count.
+  * An SPJ query runs the materialized join, the collection of its right
+  * tids and the join-side steps, and re-joins the right tuples once
+  * only when a join-side step was not pruned.
   * The offline cleaner's per-group mode runs one signature collection
   * per dirty group plus a constant (the initial materialization, the
   * detection, one rewrite and the clean-group pass), the O(ε·n) shape
@@ -82,6 +85,18 @@ class DaisyJobCountSpec extends SparkSpec {
     val (_, second) = jobsOf(partial.execute(band(45900)))
     assert(partial.lastReport.perRule.head.dirty > 0)
     assert(second <= 6, s"second partial query ran $second jobs")
+  }
+
+  test("an SPJ query whose join-side rule is pruned re-joins nothing") {
+    val d = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("emp" -> Seq(TestData.empFd)))
+    // Peter's phone group is clean, so the join-side rule is pruned.
+    val (_, jobs) = jobsOf(d.execute(QuerySpec("cities", select = Seq("city", "ename"),
+      join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter")))))))
+    assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(true))
+    assert(d.lastReport.resultRows == 2)
+    assert(jobs <= 4, s"SPJ query with a pruned join-side rule ran $jobs jobs")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {

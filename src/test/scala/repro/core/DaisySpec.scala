@@ -120,6 +120,40 @@ class DaisySpec extends SparkSpec {
     assert(d.state("emp").filter(ProbData.isDirty("ezip")).count() == 2)
   }
 
+  test("SPJ: the join result carries the cleaned right candidates and honours rightWhere") {
+    def session() = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("cities" -> Seq(fd), "emp" -> Seq(TestData.empFd)))
+    def query(rightWhere: Seq[Pred]) = QuerySpec("cities",
+      where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename", "ezip"),
+      join = Some(JoinSpec("emp", "zip", "ezip", rightWhere)))
+    def ezips(df: DataFrame, tid: String) =
+      ProbData.canonCands(df, "ezip").select(col(tid), col("ezip__c")).collect()
+        .map(r => r.getLong(0) -> Option(r.getSeq[Any](1)).map(_.mkString("|")).orNull).toSet
+
+    val d = session()
+    val res = d.execute(query(Nil))
+    // Every result row shows its employee's candidates as in the state:
+    // Mary (1) {10001 50%, 10002 50%} on her row with t1, not a stale null.
+    val state = ezips(d.state("emp"), "__tid").toMap
+    val rows = ezips(res, "__rtid")
+    assert(rows.map(_._1) == Set(0L, 1L, 2L))
+    rows.foreach { case (t, c) => assert(c == state(t), s"employee $t") }
+    assert(state(1L) != null)
+
+    val noJon = session().execute(query(Seq(Pred("ename", "!=", "Jon"))))
+    assert(noJon.select("ename").collect().map(_.getString(0)).toSet == Set("Peter", "Mary"))
+  }
+
+  test("Daisy and the offline cleaner reject a relation without __tid") {
+    val noTid = TestData.cities(spark).drop("__tid")
+    for (f <- Seq(() => Daisy.single(spark, "cities", noTid, Seq(fd)),
+                  () => OfflineCleaner.run(noTid, Seq(fd)))) {
+      val e = intercept[IllegalArgumentException](f())
+      assert(e.getMessage.contains("__tid"), e.getMessage)
+    }
+  }
+
   test("a join-side rule switched to full cleaning takes the full-clean route") {
     val d = new Daisy(spark,
       Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
@@ -223,13 +257,13 @@ class DaisySpec extends SparkSpec {
     assert(zip(2L).map(c => (c._1, c._2)) == Seq(("10001", "="), ("10002", "=")))
   }
 
-  test("probabilisticView renders candidates for every rule attribute") {
+  test("a cleaned state renders candidates for every rule attribute") {
     val d = freshDaisy()
     d.execute(QuerySpec("cities", select = Seq("zip", "city")))
-    val v = d.probabilisticView("cities")
-    assert(v.columns.contains("zip__view") && v.columns.contains("city__view"))
-    val row0 = v.filter(col("__tid") === 0L).select("city__view").collect().head.getString(0)
-    assert(row0 == "Los Angeles@0.67|San Francisco@0.33")
+    val row0 = d.state("cities").filter(col("__tid") === 0L)
+      .select(ProbData.candsToString("zip"), ProbData.candsToString("city")).collect().head
+    assert(row0.getString(0) == "9001")
+    assert(row0.getString(1) == "Los Angeles@0.67|San Francisco@0.33")
   }
 
   test("a whole-dataset query cleans everything in one shot") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.ProbData.MaterializeOps
@@ -44,6 +46,19 @@ class DcRepairSpec extends SparkSpec {
   test("the non-violating tuple keeps clean cells") {
     assert(TestData.candsOf(repaired, "salary")(1L).isEmpty)
     assert(TestData.candsOf(repaired, "tax")(1L).isEmpty)
+  }
+
+  test("applyFixesOverwrite joins a materialized state once") {
+    val touched = vios.select(col("__tid1").as("__tid"))
+      .union(vios.select(col("__tid2").as("__tid"))).distinct()
+    val out = DcRepair.applyFixesOverwrite(state.materialized, DcRepair.fixes(vios, dc), touched, dc)
+    val plan = out.queryExecution.executedPlan
+    // The state is the only input with a `__chk` column.
+    def readsState(p: SparkPlan) = p.collectLeaves().exists(_.output.exists(_.name == ProbData.ChkCol))
+    val joins = plan.collect { case j: BaseJoinExec if readsState(j) => j }
+    assert(joins.size == 1, plan.toString)
+    assert(TestData.candsOf(out, "salary") == TestData.candsOf(repaired, "salary"))
+    assert(out.filter(ProbData.checkedBy(dc.id)).count() == 2)
   }
 
   test("violating tuples are marked checked") {

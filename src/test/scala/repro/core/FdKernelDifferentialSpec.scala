@@ -122,7 +122,7 @@ class FdKernelDifferentialSpec extends SparkSpec {
       assert(out.relaxed.extraCount == refRelaxed.extraCount, ctx)
       assert(out.fixes.nDirty == refFixes.nDirty, ctx)
       assert(out.fixes.nDirtyGroups == refFixes.nDirtyGroups, ctx)
-      val fixCols = fd.attrs.map(FdRepair.fixCol)
+      val fixCols = fd.attrs.map(ProbData.fixCol)
       assert(canon(out.fixes.fixes, fixCols) == canon(refFixes.fixes, fixCols), ctx)
       assert(canonState(out.state) == canonState(refState), ctx)
     }
@@ -136,7 +136,7 @@ class FdKernelDifferentialSpec extends SparkSpec {
       val answerTids = tids(answer).toSet
       def answerFixes(maxIter: Int) = {
         val fixes = CleanOps.cleanSelectFd(st, answer, fd, maxIter).fixes
-        canon(fixes.fixes, fd.attrs.map(FdRepair.fixCol)).filter { case (t, _) => answerTids(t) }
+        canon(fixes.fixes, fd.attrs.map(ProbData.fixCol)).filter { case (t, _) => answerTids(t) }
       }
       assert(answerFixes(1) == answerFixes(20), s"seed $seed")
     }

@@ -143,7 +143,7 @@ object FdReference {
 
     var fixes = dirtyTuples
       .join(multiR, Seq("rv"), "left")
-      .select(col(tidC), col("rhsCands").as(FdRepair.fixCol(fd.rhs)), col("lvCands"))
+      .select(col(tidC), col("rhsCands").as(ProbData.fixCol(fd.rhs)), col("lvCands"))
 
     // Confirmations (§4.3): a rule also contributes its conditional
     // distribution to cells that *other* rules already made
@@ -163,24 +163,24 @@ object FdReference {
       .join(groupTot, "lv")
       .select(col(tidC),
         array(struct(col("rv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
-          lit("R").as("w"), col("tot").cast("long").as("n"))).as(FdRepair.fixCol(fd.rhs)),
+          lit("R").as("w"), col("tot").cast("long").as("n"))).as(ProbData.fixCol(fd.rhs)),
         lit(null).cast(ProbData.CandType).as("lvCands"))
     val lhsConf = if (fd.lhs.size == 1) {
       g.join(dirtyFlags, tidC).filter(col("__dL"))
         .join(multiR.select("rv"), Seq("rv"), "left_anti")
         .join(pairCntCtx, Seq("lv", "rv"))
         .select(col(tidC),
-          lit(null).cast(ProbData.CandType).as(FdRepair.fixCol(fd.rhs)),
+          lit(null).cast(ProbData.CandType).as(ProbData.fixCol(fd.rhs)),
           array(struct(col("lv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
             lit("L").as("w"), col("cnt").cast("long").as("n"))).as("lvCands"))
     } else rhsConf.limit(0)
     val confirmations = rhsConf.unionByName(lhsConf)
       .groupBy(tidC).agg(
-        first(col(FdRepair.fixCol(fd.rhs)), ignoreNulls = true).as(FdRepair.fixCol(fd.rhs)),
+        first(col(ProbData.fixCol(fd.rhs)), ignoreNulls = true).as(ProbData.fixCol(fd.rhs)),
         first(col("lvCands"), ignoreNulls = true).as("lvCands"))
     fixes = fixes.unionByName(confirmations)
       .groupBy(tidC).agg(
-        first(col(FdRepair.fixCol(fd.rhs)), ignoreNulls = true).as(FdRepair.fixCol(fd.rhs)),
+        first(col(ProbData.fixCol(fd.rhs)), ignoreNulls = true).as(ProbData.fixCol(fd.rhs)),
         first(col("lvCands"), ignoreNulls = true).as("lvCands"))
 
     // Split concatenated lhs candidates into per-attribute candidate
@@ -190,14 +190,14 @@ object FdReference {
     // rule exercises — its repairs are rhs-side.
     val k = fd.lhs.size
     if (k == 1) {
-      fixes = fixes.withColumnRenamed("lvCands", FdRepair.fixCol(fd.lhs.head))
+      fixes = fixes.withColumnRenamed("lvCands", ProbData.fixCol(fd.lhs.head))
     } else {
       for ((a, i) <- fd.lhs.zipWithIndex) {
         val parts = transform(col("lvCands"), c => struct(
           element_at(split(c.getField("v"), Relaxation.Sep), i + 1).as("v"),
           c.getField("op").as("op"), c.getField("p").as("p"),
           c.getField("w").as("w"), c.getField("n").as("n")))
-        fixes = fixes.withColumn(FdRepair.fixCol(a),
+        fixes = fixes.withColumn(ProbData.fixCol(a),
           when(col("lvCands").isNull, lit(null).cast(ProbData.CandType))
             .otherwise(ProbData.mergeCands(parts, lit(null).cast(ProbData.CandType))))
       }
@@ -215,14 +215,26 @@ object FdReference {
   def applyFixes(state: DataFrame, fixes: RefFixes, subsetTids: DataFrame, fd: Fd): DataFrame = {
     var out = state.join(fixes.fixes, Seq(tidC), "left")
     for (a <- fd.lhs :+ fd.rhs) {
-      val fixC = FdRepair.fixCol(a)
+      val fixC = ProbData.fixCol(a)
       val cc   = ProbData.candCol(a)
       out = out.withColumn(cc,
         when(col(fixC).isNull, col(cc))
           .otherwise(ProbData.mergeCands(col(cc), col(fixC))))
         .drop(fixC)
     }
-    ProbData.markChecked(out, subsetTids, fd.id)
+    markChecked(out, subsetTids, fd.id)
+  }
+
+  /** Marks `ruleId` as checked on the rows whose tid appears in
+    * `tids` (a single-column DataFrame of tuple ids).
+    */
+  private[core] def markChecked(state: DataFrame, tids: DataFrame, ruleId: String): DataFrame = {
+    val t = tids.toDF(tidC).distinct().withColumn("__hit", lit(true))
+    state.join(t, Seq(tidC), "left")
+      .withColumn(ProbData.ChkCol,
+        when(col("__hit"), array_union(col(ProbData.ChkCol), array(lit(ruleId))))
+          .otherwise(col(ProbData.ChkCol)))
+      .drop("__hit")
   }
 
   /** `clean_σ` as composed from the reference relaxation and repair. */

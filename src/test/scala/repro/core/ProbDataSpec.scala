@@ -94,7 +94,7 @@ class ProbDataSpec extends SparkSpec {
 
   test("markChecked / checkedBy round-trip") {
     val some = state.filter(col("__tid") < 2).select("__tid")
-    val marked = ProbData.markChecked(state, some, "r1")
+    val marked = FdReference.markChecked(state, some, "r1")
     assert(marked.filter(ProbData.checkedBy("r1")).count() == 2)
     assert(marked.filter(ProbData.checkedBy("r2")).count() == 0)
   }

@@ -97,12 +97,6 @@ class ThetaJoinSpec extends SparkSpec {
     assert(v.getAs[String]("dir") == "21")
   }
 
-  test("overlapFraction basics") {
-    assert(ThetaJoin.overlapFraction(0, 1, 2, 3) == 0.0)
-    assert(math.abs(ThetaJoin.overlapFraction(0, 2, 1, 3) - (1.0 / 3)) < 1e-9)
-    assert(ThetaJoin.overlapFraction(0, 2, 0, 2) == 1.0)
-  }
-
   test("estimateErrors is zero for clean monotone data") {
     val mono = mkState((1L to 40L).map(i => (i, i * 100.0, i * 0.01)))
     val b = ThetaJoin.bucketize(mono, dc, 16)
