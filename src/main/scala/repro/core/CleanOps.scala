@@ -50,15 +50,15 @@ object CleanOps {
     */
   def probEquiJoin(left: DataFrame, right: DataFrame,
                    leftKey: String, rightKey: String): DataFrame = {
-    val lv = ProbData.explodeValues(left, leftKey, "kv")
-      .withColumnRenamed(tidC, "__ltid")
-    val rv = ProbData.explodeValues(right, rightKey, "kv")
-      .withColumnRenamed(tidC, "__rtid")
-    val pairs = lv.join(rv, "kv").select("__ltid", "__rtid").distinct()
-
+    // Each side's rows once per candidate key value, joined once on the
+    // value; a pair sharing several values is one row.
     val l = left.withColumnRenamed(tidC, "__ltid")
-    val r = renameRight(right, left.columns.toSet)
-    pairs.join(l, "__ltid").join(r, "__rtid")
+      .withColumn("__kv", explode(ProbData.valuesExpr(left, leftKey)))
+    val r = renameRight(right.withColumn("__kv", explode(ProbData.valuesExpr(right, rightKey))),
+      left.columns.toSet)
+    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(c => c != "__ltid" && c != "__kv") ++
+      r.columns.filter(c => c != "__rtid" && c != "__kv")
+    l.join(r, "__kv").dropDuplicates("__ltid", "__rtid").select(cols.map(col): _*)
   }
 
   /** Incremental join update (§5.1, Fig. 3): replaces the rows of the

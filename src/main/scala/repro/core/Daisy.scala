@@ -106,15 +106,23 @@ final class Daisy(val spark: SparkSession,
       // join, after them for the re-join.
       def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
       val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).materialized
-      lazy val rightQual = FdGraph.memberOf(joined.select("__rtid"))
+      // The joined right tuples with their checked marks, collected once.
+      lazy val rightChk = joined.select("__rtid", "__rchk").collect()
+        .map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
+      lazy val rightQual = col(tidC).isin(rightChk.keys.toSeq: _*)
       val ran = plan.steps.filter(_.isJoinSide).map(step => step.rule -> runStep(j.rightTable, step, rightQual))
       reports ++= ran.map(_._2)
       // Incremental join (Fig. 3): the qualifying right tuples with a
-      // probabilistic attribute of a rule that ran are re-joined once.
-      val attrs = ran.collect { case (rule, r) if !r.skippedByPruning => rule.attrs }.flatten.distinct
+      // probabilistic attribute of a rule that ran, and the joined ones
+      // such a rule newly checked, are re-joined once.
+      val rules = ran.collect { case (rule, r) if !r.skippedByPruning => rule }
+      def changed = rules.flatMap(_.attrs).distinct.map(ProbData.isDirty) ++ rules.map { rule =>
+        val unmarked = rightChk.collect { case (t, chk) if !chk.contains(rule.id) => t }
+        ProbData.checkedBy(rule.id) && col(tidC).isin(unmarked.toSeq: _*)
+      }
       result =
-        if (attrs.isEmpty) joined
-        else CleanOps.incrementalJoin(joined, result, rightPart.filter(attrs.map(ProbData.isDirty).reduce(_ || _)),
+        if (rules.isEmpty) joined
+        else CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
           j.leftKey, j.rightKey).materialized
     }
 
@@ -214,23 +222,24 @@ final class Daisy(val spark: SparkSession,
   // -------------------------------------------------------------------
 
   /** `clean_σ` of `dc` over the tuples satisfying `answer` (§4.2). One
-    * collection of the answer's buckets gives Algorithm 2 its inputs and
-    * the answer's tuples the rule has not seen; the decision comes
-    * first, then one detection: over the whole matrix when it is full
-    * cleaning, else over the pairs with a newly seen tuple.
+    * collection of the answer's tids gives Algorithm 2 its inputs (their
+    * buckets come from the rule's points) and the answer's tuples the
+    * rule has not seen; the decision comes first, then one driver-side
+    * detection: over the whole matrix when it is full cleaning, else over
+    * the pairs with a newly seen tuple.
     */
   private def cleanSelectDc(table: String, dc: InequalityDc, answer: Column): RuleReport = {
     val rec = dcRecord(table, dc)
-    val tuples = states(table).filter(answer).select(col(tidC), rec.buck.bucket).collect().toSeq
-      .map(r => (r.getLong(0), Option(r.getAs[Integer](1)).map(_.intValue)))
+    val tuples = states(table).filter(answer).select(col(tidC)).collect().toSeq
+      .map(r => (r.getLong(0), rec.buck.bucketOfTid.get(r.getLong(0))))
     val fresh = tuples.collect { case (t, Some(b)) if !rec.seen(t, b) => (t, b) }
     val now = rec.see(fresh)
     val decision = ThetaJoin.decide(dc, rec.buck.stats, tuples.flatMap(_._2).toSet,
       now.checkedPairs, tuples.length, opts.dcThreshold)
     val after =
-      if (decision.fullCleaning) cleanDc(table, dc, now.complete, lit(false))
+      if (decision.fullCleaning) cleanDc(table, dc, now.complete, _ => false)
       else if (fresh.isEmpty) now
-      else cleanDc(table, dc, now, !col(tidC).isInCollection(fresh.map(_._1)))
+      else { val f = fresh.map(_._1).toSet; cleanDc(table, dc, now, t => !f(t)) }
     dcRecords((table, dc.id)) = after
     RuleReport(table, dc.id, 0, 1, after.touched, skippedByPruning = false,
       decision.fullCleaning, Some(decision))
@@ -239,23 +248,25 @@ final class Daisy(val spark: SparkSession,
   private def dcRecord(table: String, dc: InequalityDc): Daisy.DcRecord =
     dcRecords.getOrElse((table, dc.id), {
       val b = ThetaJoin.bucketize(states(table), dc, opts.dcPartitions)
-      Daisy.DcRecord(b.copy(data = b.data.materialized), ThetaJoin.candidatePairs(dc, b.stats))
+      Daisy.DcRecord(b, ThetaJoin.candidatePairs(dc, b.stats))
     })
 
-  /** Detects the violations among the pairs of `rec`'s matrix that are
-    * not both `seen`, adds them to the pairs found so far (all of them
-    * when `seen` is false everywhere) and repairs the state from the
-    * result.
+  /** Detects the violations among the pairs of `rec`'s matrix whose
+    * tuples are not both `seen` (all of them when nothing is seen), adds
+    * them to the pairs found so far and, when that adds a pair, repairs
+    * the state from the result. The state is a function of the pairs
+    * found so far, so without a new pair it stays as it is.
     */
   private def cleanDc(table: String, dc: InequalityDc, rec: Daisy.DcRecord,
-                      seen: Column): Daisy.DcRecord = {
-    val found = ThetaJoin.violations(rec.buck.data.withColumn("__seen", seen), dc, rec.pairs,
-      rec.buck.stats)
-    val vios = rec.vios.fold(found)(_.unionByName(found).dropDuplicates(tidC + "1", tidC + "2"))
-      .materialized
-    val (st, touched) = DcRepair.clean(states(table), vios, dc, opts.maxFixAtoms)
-    states(table) = st
-    rec.copy(vios = Some(vios), touched = touched.count())
+                      seen: Long => Boolean): Daisy.DcRecord = {
+    val found = ThetaJoin.violationsOf(rec.buck.points, seen, dc, rec.pairs, rec.buck.stats)
+    val vios = found.map(v => (v.tid1, v.tid2) -> v).toMap ++ rec.vios
+    if (vios.size == rec.vios.size) rec
+    else {
+      val (st, touched) = DcRepair.clean(states(table), vios.values, dc, opts.maxFixAtoms)
+      states(table) = st
+      rec.copy(vios = vios, touched = touched)
+    }
   }
 
   // -------------------------------------------------------------------
@@ -269,23 +280,24 @@ final class Daisy(val spark: SparkSession,
     for (r <- rules.getOrElse(table, Nil)) r match {
       case fd: Fd => fullCleanRemaining(table, fd)
       case dc: InequalityDc =>
-        dcRecords((table, dc.id)) = cleanDc(table, dc, dcRecord(table, dc).complete, lit(false))
+        dcRecords((table, dc.id)) = cleanDc(table, dc, dcRecord(table, dc).complete, _ => false)
     }
   }
 }
 
 object Daisy {
   /** Daisy's bookkeeping of one inequality DC over one table (§4.2): the
-    * materialized bucketization and its candidate bucket pairs, the tids
+    * bucketization with its points and candidate bucket pairs, the tids
     * the rule has seen in answers with their count per bucket, and the
-    * violation pairs found so far with the number of tuples they touch.
-    * A bucket whose tuples have all been seen is full; every pair of a
-    * full bucket has been checked.
+    * violation pairs found so far, keyed by (tid1, tid2), with the number
+    * of tuples they touch. A bucket whose tuples have all been seen is
+    * full; every pair of a full bucket has been checked.
     */
   private[core] final case class DcRecord(buck: ThetaJoin.Bucketized, pairs: Seq[(Int, Int)],
                                           seenTids: Set[Long] = Set.empty,
                                           seenPerBucket: Map[Int, Long] = Map.empty,
-                                          vios: Option[DataFrame] = None, touched: Long = 0L) {
+                                          vios: Map[(Long, Long), ThetaJoin.Violation] = Map.empty,
+                                          touched: Long = 0L) {
     private val sizes = buck.stats.map(s => s.idx -> s.count).toMap
 
     def full(b: Int): Boolean = seenPerBucket.getOrElse(b, 0L) >= sizes(b)

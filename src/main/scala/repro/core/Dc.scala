@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
+
 /** Rule model: denial constraints as evaluated by the paper.
   *
   * Two concrete families are supported, matching §3/§4 of the paper:
@@ -57,12 +59,17 @@ object Fd {
 final case class Atom(attr: String, op: String) {
   require(Atom.Ops.contains(op), s"unsupported atom op '$op'")
 
-  /** Evaluates the atom on concrete numeric values. */
-  def eval(v1: Double, v2: Double): Boolean = op match {
-    case "<"  => v1 < v2
-    case "<=" => v1 <= v2
-    case ">"  => v1 > v2
-    case ">=" => v1 >= v2
+  /** Evaluates the atom on concrete numeric values, ordered as Spark SQL
+    * orders doubles (NaN above every other value).
+    */
+  def eval(v1: Double, v2: Double): Boolean = {
+    val c = SQLOrderingUtil.compareDoubles(v1, v2)
+    op match {
+      case "<"  => c < 0
+      case "<=" => c <= 0
+      case ">"  => c > 0
+      case ">=" => c >= 0
+    }
   }
 
   /** The op a candidate fix of the *t1*-side value must satisfy to

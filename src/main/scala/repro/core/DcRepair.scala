@@ -1,8 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.ProbData.MaterializeOps
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Holistic repair of general DC violations (§4.2, Example 5).
   *
@@ -25,98 +30,111 @@ object DcRepair {
 
   private val tidC = ProbData.TidCol
 
-  /** Candidate rows (tid, attr, v, op, n) for every tuple of every
-    * violating pair found by [[ThetaJoin.violations]].
+  /** Renders a double as Spark's `cast(double as string)` does: one
+    * interpreted cast expression, evaluated per value.
     */
-  def candidateRows(violations: DataFrame, dc: InequalityDc, maxFixAtoms: Int = 1): DataFrame = {
-    val k = dc.atoms.size
-    val subsets = (1 to math.min(maxFixAtoms, k)).flatMap(sz =>
+  private def doubleToString(): Double => String = {
+    val cast = Cast(BoundReference(0, DoubleType, nullable = false), StringType)
+    d => cast.eval(InternalRow(d)).toString
+  }
+
+  /** The fixes of `violations` on the driver: per tid, per DC attribute,
+    * the candidate set shaped like [[ProbData.CandType]] — every
+    * (v, op) candidate of the tuple's violation pairs with its summed
+    * support n, p = n/Σn, sorted by (v, op).
+    */
+  def fixesOf(violations: Iterable[ThetaJoin.Violation], dc: InequalityDc,
+              maxFixAtoms: Int = 1): Map[Long, Map[String, Seq[Row]]] = {
+    val subsets = (1 to math.min(maxFixAtoms, dc.atoms.size)).flatMap(sz =>
       dc.atoms.indices.combinations(sz).map(_.toSet))
     val nFixes = subsets.size
-
     // For each tuple side and each attribute: how many fixes change it
     // vs keep it. With distinct atom attributes, attr of atom i changes
     // in the fixes whose subset contains i.
-    val changesPerAtom = dc.atoms.indices.map(i => subsets.count(_.contains(i)))
+    val perAtom = dc.atoms.indices.map(i => (dc.atoms(i), dc.attrs.indexOf(dc.atoms(i).attr),
+      subsets.count(_.contains(i))))
+    val render = doubleToString()
 
-    val rows = violations.select(
-      col(tidC + "1"), col(tidC + "2"), col("dir"),
-      array(dc.attrs.map(a => col(a + "1")): _*).as("vals1"),
-      array(dc.attrs.map(a => col(a + "2")): _*).as("vals2"))
-
-    // Orientation-expanded: one row per ordered violation.
-    val oriented = rows
-      .withColumn("__o", explode(
-        when(col("dir") === "both", array(lit("12"), lit("21")))
-          .otherwise(array(col("dir")))))
-
-    // Per atom, per side: emit the original-value candidate and the
-    // range candidate with the fix-frequency supports.
-    val o12 = col("__o") === "12"
-    val (tid1, tid2) = (when(o12, col(tidC + "1")).otherwise(col(tidC + "2")),
-      when(o12, col(tidC + "2")).otherwise(col(tidC + "1")))
-    val perAtom = dc.atoms.zipWithIndex.flatMap { case (at, i) =>
-      val vi = dc.attrs.indexOf(at.attr)
-      val (t1, t2) = (when(o12, col("vals1")(vi)).otherwise(col("vals2")(vi)),
-        when(o12, col("vals2")(vi)).otherwise(col("vals1")(vi)))
-      def cand(tid: Column, v: Column, op: String, n: Int): Column =
-        struct(tid.as("tid"), lit(at.attr).as("attr"), v.cast("string").as("v"),
-          lit(op).as("op"), lit(n).as("n"))
-      val chg = changesPerAtom(i)
-      Seq(cand(tid1, t1, "=", nFixes - chg), cand(tid1, t2, at.invertedOpT1, chg),
-        cand(tid2, t2, "=", nFixes - chg), cand(tid2, t1, at.invertedOpT2, chg))
+    val support = mutable.HashMap[(Long, String, String, String), Long]().withDefaultValue(0L)
+    def cand(tid: Long, attr: String, v: Double, op: String, n: Int): Unit =
+      if (n > 0) support((tid, attr, render(v), op)) += n
+    // One ordered violation (t1, t2) per violating orientation.
+    def oriented(v: ThetaJoin.Violation) = {
+      val (o12, o21) = ((v.tid1, v.vals1, v.tid2, v.vals2), (v.tid2, v.vals2, v.tid1, v.vals1))
+      v.dir match { case "both" => Seq(o12, o21); case "12" => Seq(o12); case _ => Seq(o21) }
+    }
+    // Per atom, per side: the original-value candidate and the range
+    // candidate with the fix-frequency supports.
+    for (v <- violations; (t1, x1, t2, x2) <- oriented(v); (at, k, chg) <- perAtom) {
+      cand(t1, at.attr, x1(k), "=", nFixes - chg); cand(t1, at.attr, x2(k), at.invertedOpT1, chg)
+      cand(t2, at.attr, x2(k), "=", nFixes - chg); cand(t2, at.attr, x1(k), at.invertedOpT2, chg)
     }
 
-    oriented
-      .select(explode(array(perAtom: _*)).as("c"))
-      .select(col("c.tid").as(tidC), col("c.attr"), col("c.v"), col("c.op"), col("c.n"))
-      .filter(col("n") > 0)
+    support.toSeq.groupBy(_._1._1).map { case (tid, cs) =>
+      tid -> cs.groupBy(_._1._2).map { case (attr, acs) =>
+        val tot = acs.map(_._2).sum.toDouble
+        attr -> acs.map { case ((_, _, v, op), n) => (v, op, n) }.sortBy(c => (c._1, c._2))
+          .map { case (v, op, n) => Row(v, op, n / tot, "DC", n) }
+      }
+    }
   }
 
-  /** Aggregates candidate rows into per-(tid, attr) candidate arrays
-    * with frequency probabilities, shaped like [[ProbData.CandType]].
+  /** Schema of the rows of [[fixes]]: (tid, attr, cands). */
+  private val fixSchema = StructType(Seq(StructField(tidC, LongType), StructField("attr", StringType),
+    StructField("cands", ProbData.CandType)))
+
+  /** [[fixesOf]] over violation rows from [[ThetaJoin.violations]]: a
+    * local DataFrame of (tid, attr, cands) per fixed cell.
     */
   def fixes(violations: DataFrame, dc: InequalityDc, maxFixAtoms: Int = 1): DataFrame = {
-    val cands = candidateRows(violations, dc, maxFixAtoms)
-      .groupBy(tidC, "attr", "v", "op").agg(sum("n").as("n"))
-    val perCell = cands.groupBy(tidC, "attr").agg(
-      sum("n").as("tot"),
-      array_sort(collect_list(struct(col("v"), col("op"), col("n")))).as("cs"))
-    perCell.select(col(tidC), col("attr"),
-      transform(col("cs"), c => struct(
-        c.getField("v").as("v"), c.getField("op").as("op"),
-        (c.getField("n") / col("tot")).cast("double").as("p"),
-        lit("DC").as("w"), c.getField("n").cast("long").as("n"))).as("cands"))
+    val rows = for ((tid, byAttr) <- fixesOf(ThetaJoin.violationsFrom(violations, dc), dc, maxFixAtoms).toSeq;
+                    (attr, cs) <- byAttr) yield Row(tid, attr, cs)
+    violations.sparkSession.createDataFrame(rows.asJava, fixSchema)
   }
 
-  /** Applies DC fixes to the state: the per-attribute fixes replace the
-    * candidate sets of the DC's attributes, and `checkedTids` are marked
-    * checked by `dc`, through one broadcast join of the state with a
-    * table of one row per fixed or marked tuple. Replacing is exact:
-    * callers pass the fixes of every violation pair found so far, so a
-    * DC cell without a fix never had a DC candidate, and no other rule
-    * writes a DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
+  /** The state with the fixes of `fixes` replacing the candidate sets of
+    * the DC's attributes and the tuples of `marked` checked by `dc`,
+    * through one broadcast join of the state with a local table of one
+    * row per fixed or marked tuple. Replacing is exact: callers pass
+    * the fixes of every violation pair found so far, so a DC cell
+    * without a fix never had a DC candidate, and no other rule writes a
+    * DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
     */
-  def applyFixesOverwrite(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
-                          dc: InequalityDc): DataFrame = {
-    val perAttr = dc.attrs.map(a =>
-      first(when(col("attr") === a, col("cands")), ignoreNulls = true).as(ProbData.fixCol(a)))
-    val table = fixesDf.groupBy(tidC).agg(perAttr.head, perAttr.tail: _*)
-      .join(checkedTids.toDF(tidC).distinct().withColumn("__mark", lit(true)), Seq(tidC), "full_outer")
+  private def overwrite(state: DataFrame, fixes: Map[Long, Map[String, Seq[Row]]], marked: Set[Long],
+                        dc: InequalityDc): DataFrame = {
+    val schema = StructType(StructField(tidC, LongType) +:
+      dc.attrs.map(a => StructField(ProbData.fixCol(a), ProbData.CandType)) :+
+      StructField("__mark", BooleanType))
+    val rows = (fixes.keySet ++ marked).toSeq.map { tid =>
+      val byAttr = fixes.getOrElse(tid, Map.empty)
+      Row.fromSeq(tid +: dc.attrs.map(byAttr.getOrElse(_, null)) :+ marked(tid))
+    }
+    val table = state.sparkSession.createDataFrame(rows.asJava, schema)
     ProbData.applyFixTable(state.join(broadcast(table), Seq(tidC), "left"), state.columns.toSeq,
       dc.attrs, dc.id, col("__mark"))((_, fix) => fix)
   }
 
-  /** The DC clean path shared by Daisy and the offline cleaner: repairs
-    * every pair of `violations` (from [[ThetaJoin.violations]]) and marks
-    * the tuples of those pairs checked by `dc`. Returns the materialized
-    * state and the tids of the marked tuples.
+  /** [[overwrite]] with the fixes of `fixesDf` (rows of [[fixes]]) and the
+    * tids of `checkedTids`' first column, both collected to the driver.
     */
-  def clean(state: DataFrame, violations: DataFrame, dc: InequalityDc,
-            maxFixAtoms: Int = 1): (DataFrame, DataFrame) = {
-    val touched = violations.select(col(tidC + "1").as(tidC))
-      .union(violations.select(col(tidC + "2").as(tidC))).distinct()
-    val fixesDf = fixes(violations, dc, maxFixAtoms)
-    (applyFixesOverwrite(state, fixesDf, touched, dc).materialized, touched)
+  def applyFixesOverwrite(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
+                          dc: InequalityDc): DataFrame = {
+    val fixes = fixesDf.select(tidC, "attr", "cands").collect().toSeq
+      .groupMap(_.getLong(0))(r => r.getString(1) -> r.getSeq[Row](2))
+      .map { case (tid, cs) => tid -> cs.toMap }
+    val marked = checkedTids.select(col(checkedTids.columns.head)).collect()
+      .collect { case r if !r.isNullAt(0) => r.getLong(0) }.toSet
+    overwrite(state, fixes, marked, dc)
+  }
+
+  /** The DC clean path shared by Daisy and the offline cleaner: repairs
+    * every pair of `violations` (from [[ThetaJoin.violationsOf]]) and
+    * marks the tuples of those pairs checked by `dc`. Returns the
+    * materialized state and the number of marked tuples.
+    */
+  def clean(state: DataFrame, violations: Iterable[ThetaJoin.Violation], dc: InequalityDc,
+            maxFixAtoms: Int = 1): (DataFrame, Long) = {
+    val touched = violations.iterator.flatMap(v => Iterator(v.tid1, v.tid2)).toSet
+    (overwrite(state, fixesOf(violations, dc, maxFixAtoms), touched, dc).materialized, touched.size.toLong)
   }
 }

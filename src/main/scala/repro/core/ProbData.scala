@@ -91,10 +91,6 @@ object ProbData {
       .otherwise(transform(filter(c, x => x.getField("op") === "="), x => x.getField("v")))
   }
 
-  /** (tid, value) pairs, one row per candidate value of `attr`. */
-  def explodeValues(df: DataFrame, attr: String, as: String = "value"): DataFrame =
-    df.select(col(TidCol), explode(valuesExpr(df, attr)).as(as))
-
   /** Probabilistic qualification of a predicate (§4): a tuple
     * qualifies iff its clean value satisfies the predicate or at least
     * one candidate does.

@@ -1,7 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Partitioned theta-join for DC error detection (§4.2).
   *
@@ -15,9 +19,13 @@ import org.apache.spark.sql.functions._
   * tightens each side's value range to the sub-range that can actually
   * produce a violation with the partner bucket.
   *
+  * [[bucketize]] collects the DC attributes of every tuple with a
+  * non-null axis value to the driver in one Spark job; the matrix is
+  * then joined on the driver ([[violationsOf]]), so the driver holds
+  * one [[Point]] per such tuple plus the violation pairs found.
   * Violations are reported as *unordered* tid pairs (tid1 < tid2) with
   * the orientation that violates recorded, so each conflicting pair is
-  * found exactly once.
+  * found exactly once. Values compare as Spark SQL compares doubles.
   */
 object ThetaJoin {
 
@@ -27,49 +35,87 @@ object ThetaJoin {
   final case class BucketStat(idx: Int, lo: Double, hi: Double, count: Long,
                               bounds: Map[String, (Double, Double)])
 
-  /** Result of bucketizing: stats plus the input with a `__b` column. */
-  final case class Bucketized(data: DataFrame, stats: Seq[BucketStat],
+  /** A tuple with a non-null axis value: its tid, its bucket and its DC
+    * attribute values in `dc.attrs` order, `None` when one is null. Every
+    * DC attribute is compared by some atom and a comparison with null
+    * never holds, so a tuple without values violates nothing.
+    */
+  final case class Point(tid: Long, b: Int, vals: Option[Array[Double]])
+
+  /** One violating pair, tid1 < tid2: `dir` = "12", "21" or "both" says
+    * which orientation violates; `vals1`/`vals2` are the tuples' DC
+    * attribute values in `dc.attrs` order.
+    */
+  final case class Violation(tid1: Long, tid2: Long, dir: String,
+                             vals1: Array[Double], vals2: Array[Double])
+
+  /** Result of bucketizing: stats, the points, and the input with a `__b` column. */
+  final case class Bucketized(data: DataFrame, stats: Seq[BucketStat], points: IndexedSeq[Point],
                               axis: String, lo: Double, hi: Double, nRanges: Int) {
     def width: Double = if (hi > lo) (hi - lo) / nRanges else 1.0
 
-    /** The `__b` of a tuple of any state of the bucketized relation: its
-      * equi-width range of the axis value, null for a null axis value.
+    /** The equi-width range of axis value `v`. */
+    def bucketOf(v: Double): Int =
+      math.min(nRanges - 1L, math.max(0L, math.floor((v - lo) / width).toLong)).toInt
+
+    /** The `__b` of a tuple of any state of the bucketized relation:
+      * [[bucketOf]] its axis value, null for a null axis value.
       */
     def bucket: Column = {
       val v = col(axis).cast("double")
       when(v.isNotNull,
         least(lit(nRanges - 1), greatest(lit(0), floor((v - lit(lo)) / lit(width)).cast("int"))))
     }
+
+    /** The bucket of every point's tid. */
+    lazy val bucketOfTid: Map[Long, Int] = points.iterator.map(p => p.tid -> p.b).toMap
   }
+
+  private val sqlOrder: Ordering[Double] = (x: Double, y: Double) => SQLOrderingUtil.compareDoubles(x, y)
+
+  /** The DC attributes cast to double. */
+  private def attrCols(dc: InequalityDc): Seq[Column] = dc.attrs.map(a => col(a).cast("double").as(a))
+
+  /** The DC attribute values of `r` from column `from` on, `None` for
+    * null. A negative zero reads as 0.0, as Spark SQL's grouping
+    * normalizes it; the two compare equal anyway.
+    */
+  private def valuesOf(r: Row, from: Int, n: Int): IndexedSeq[Option[Double]] =
+    (from until from + n).map(i => if (r.isNullAt(i)) None else Some(r.getDouble(i) + 0.0))
+
+  private def pointOf(tid: Long, b: Int, vs: IndexedSeq[Option[Double]]): Point =
+    Point(tid, b, Option.when(vs.forall(_.isDefined))(vs.map(_.get).toArray))
 
   /** Splits the dataset into √p equi-width ranges on the first atom's
     * attribute (the matrix axis) and collects per-bucket boundaries of
-    * every DC attribute. A tuple whose axis value is null cannot satisfy
-    * the first atom, so it gets no bucket (`__b` null); an empty table or
-    * an all-null axis gives no buckets at all.
+    * every DC attribute, from one collection of the DC attributes of
+    * the tuples whose axis value is not null. A tuple whose axis value
+    * is null cannot satisfy the first atom, so it gets no bucket (`__b`
+    * null) and no point; an empty table or an all-null axis gives no
+    * buckets at all. A bucket without a value of an attribute gets the
+    * bounds (0, 0) for it; none of its tuples can violate, so they only
+    * feed Algorithm 2's estimate.
     */
   def bucketize(df: DataFrame, dc: InequalityDc, p: Int): Bucketized = {
     val axis = dc.atoms.head.attr
+    val nAttrs = dc.attrs.size
     val nRanges = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
-    val mm = df.agg(min(col(axis).cast("double")).as("lo"), max(col(axis).cast("double")).as("hi"))
-      .collect().head
-    val (lo, hi) = if (mm.isNullAt(0)) (0.0, 0.0) else (mm.getDouble(0), mm.getDouble(1))
-    val shape = Bucketized(df, Nil, axis, lo, hi, nRanges)
-    val data = df.withColumn("__b", shape.bucket)
+    val rows = df.filter(col(axis).cast("double").isNotNull)
+      .select(col(tidC) +: attrCols(dc): _*).collect()
+    val vals = rows.map(valuesOf(_, 1, nAttrs))
+    val axisVals = vals.map(_(dc.attrs.indexOf(axis)).get)
+    val (lo, hi) = if (rows.isEmpty) (0.0, 0.0) else (axisVals.min(sqlOrder), axisVals.max(sqlOrder))
+    val shape = Bucketized(df, Nil, Vector.empty, axis, lo, hi, nRanges)
+    val points = rows.indices.map(i => pointOf(rows(i).getLong(0), shape.bucketOf(axisVals(i)), vals(i)))
 
-    val aggCols = dc.attrs.flatMap(a => Seq(
-      min(col(a).cast("double")).as(s"__min_$a"), max(col(a).cast("double")).as(s"__max_$a")))
-    val allAggs = count(lit(1)).as("__cnt") +: aggCols
-    val statRows = data.filter(col("__b").isNotNull).groupBy("__b")
-      .agg(allAggs.head, allAggs.tail: _*)
-      .collect()
-    val stats = statRows.map { r =>
-      val b = r.getAs[Int]("__b")
-      BucketStat(b,
-        lo + b * shape.width, lo + (b + 1) * shape.width, r.getAs[Long]("__cnt"),
-        dc.attrs.map(a => a -> (r.getAs[Double](s"__min_$a"), r.getAs[Double](s"__max_$a"))).toMap)
-    }.sortBy(_.idx).toSeq
-    shape.copy(data = data, stats = stats)
+    val stats = points.indices.groupBy(points(_).b).toSeq.sortBy(_._1).map { case (b, is) =>
+      BucketStat(b, lo + b * shape.width, lo + (b + 1) * shape.width, is.size.toLong,
+        dc.attrs.indices.map { k =>
+          val xs = is.flatMap(vals(_)(k))
+          dc.attrs(k) -> (if (xs.isEmpty) (0.0, 0.0) else (xs.min(sqlOrder), xs.max(sqlOrder)))
+        }.toMap)
+    }
+    shape.copy(data = df.withColumn("__b", shape.bucket), stats = stats, points = points)
   }
 
   /** True iff atom `t1.a op t2.a` can hold between value intervals
@@ -104,50 +150,15 @@ object ThetaJoin {
     } yield (i, j)
   }
 
-  /** Row-level ordered-violation predicate between the `1`-suffixed and
-    * `2`-suffixed attribute columns.
+  /** The admissible axis ranges of bucket pair (i, j): intra-partition
+    * pruning (Example 4) tightens each side's range to the hull of the
+    * orientations that can actually violate with the partner bucket.
+    * Returns (i, j, left lo, left hi, right lo, right hi).
     */
-  private def orderedViolation(dc: InequalityDc, suff1: String, suff2: String): Column =
-    dc.atoms.map { at =>
-      val v1 = col(at.attr + suff1).cast("double"); val v2 = col(at.attr + suff2).cast("double")
-      at.op match {
-        case "<"  => v1 < v2
-        case "<=" => v1 <= v2
-        case ">"  => v1 > v2
-        case ">=" => v1 >= v2
-      }
-    }.reduce(_ && _)
-
-  /** Finds all violating unordered pairs inside the given bucket pairs.
-    *
-    * `df` must carry `__b` (from [[bucketize]]) and may carry a
-    * `__seen` boolean; pairs where *both* tuples were already seen are
-    * excluded (the incremental matrix subset of §4.2: result × unseen
-    * plus result × result, never seen × seen again).
-    *
-    * `stats` are the bucketization's statistics; the bucket indices of
-    * `pairs` refer to them.
-    *
-    * Returns (tid1, tid2, dir) with tid1 < tid2; `dir` = "12", "21" or
-    * "both" — which orientation violates.
-    */
-  def violations(df: DataFrame, dc: InequalityDc, pairs: Seq[(Int, Int)],
-                 stats: Seq[BucketStat]): DataFrame = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val hasSeen = df.columns.contains("__seen")
-    val attrs = dc.attrs
-    val axis  = dc.atoms.head.attr
-
-    val base = df.select(
-      (Seq(col(tidC), col("__b")) ++
-        attrs.map(a => col(a).cast("double").as(a)) ++
-        (if (hasSeen) Seq(col("__seen")) else Seq(lit(false).as("__seen")))): _*)
-
-    // Intra-partition pruning (Example 4): per bucket pair, tighten the
-    // admissible axis-value range of each side to the hull of the
-    // orientations that can actually violate with the partner bucket.
+  private def hullRanges(dc: InequalityDc, pairs: Seq[(Int, Int)],
+                         stats: Seq[BucketStat]): Seq[(Int, Int, Double, Double, Double, Double)] = {
     val byIdx = stats.map(s => s.idx -> s).toMap
+    val axis = dc.atoms.head.attr
     def hull(selfRole2Possible: Boolean, selfRole1Possible: Boolean,
              partner: (Double, Double)): (Double, Double) = {
       val (pl, ph) = partner
@@ -164,7 +175,7 @@ object ThetaJoin {
       }
       (lo, hi)
     }
-    val enriched = pairs.map { case (i, j) =>
+    pairs.map { case (i, j) =>
       val si = byIdx(i); val sj = byIdx(j)
       val o12 = orientationPossible(dc, si, sj) // left t1, right t2
       val o21 = orientationPossible(dc, sj, si) // right t1, left t2
@@ -172,44 +183,91 @@ object ThetaJoin {
       val (rLo, rHi) = hull(o12, o21, si.bounds(axis))
       (i, j, lLo, lHi, rLo, rHi)
     }
-    val pairDf = enriched.toDF("__bi", "__bj", "__lLo", "__lHi", "__rLo", "__rHi")
-    val left  = base.join(pairDf, base("__b") === pairDf("__bi") &&
-        base(axis) >= pairDf("__lLo") && base(axis) <= pairDf("__lHi"))
-      .select((Seq(col(tidC).as(tidC + "1"), col("__seen").as("__seen1"),
-        col("__bi"), col("__bj")) ++ attrs.map(a => col(a).as(a + "1"))): _*)
-    val right = base.join(
-        pairDf.select(col("__bi").as("__ci"), col("__bj").as("__cj"),
-          col("__rLo"), col("__rHi")),
-        base("__b") === col("__cj") &&
-          base(axis) >= col("__rLo") && base(axis) <= col("__rHi"))
-      .select((Seq(col(tidC).as(tidC + "2"), col("__seen").as("__seen2"),
-        col("__ci"), col("__cj")) ++ attrs.map(a => col(a).as(a + "2"))): _*)
+  }
 
-    // Distinct bucket pairs see each unordered tuple pair once; within a
-    // diagonal bucket the tid order dedupes.
-    val joined = left.join(right,
-      col("__bi") === col("__ci") && col("__bj") === col("__cj") &&
-        (col("__bi") < col("__bj") || col(tidC + "1") < col(tidC + "2")) &&
-        !(col("__seen1") && col("__seen2")))
+  /** The tuple pairs of the matrix that [[violationsOf]] compares, as
+    * (tid1, values1, tid2, values2): per bucket pair of `pairs` (indices
+    * into `stats`, the bucketization's statistics), each side keeps the
+    * points of its bucket inside the pair's hull range, and a pair is
+    * compared unless both tuples were `seen` — the incremental matrix
+    * subset of §4.2: result × unseen plus result × result, never
+    * seen × seen again. Distinct bucket pairs see each unordered tuple
+    * pair once; within a diagonal bucket the tid order dedupes. Points
+    * without values are left out: they violate nothing.
+    */
+  private[core] def compared(points: Iterable[Point], seen: Long => Boolean, dc: InequalityDc,
+                             pairs: Seq[(Int, Int)], stats: Seq[BucketStat])
+      : Iterator[(Long, Array[Double], Long, Array[Double])] = {
+    val ax = dc.attrs.indexOf(dc.atoms.head.attr)
+    val byBucket = points.collect { case Point(t, b, Some(vs)) => (t, b, vs) }.groupBy(_._2)
+    def side(b: Int, lo: Double, hi: Double) = byBucket.getOrElse(b, Nil).collect {
+      case (t, _, vs) if sqlOrder.gteq(vs(ax), lo) && sqlOrder.lteq(vs(ax), hi) => (t, vs)
+    }.toArray
+    for {
+      (i, j, lLo, lHi, rLo, rHi) <- hullRanges(dc, pairs, stats).iterator
+      right = side(j, rLo, rHi)
+      (t1, v1) <- side(i, lLo, lHi).iterator
+      s1 = seen(t1)
+      (t2, v2) <- right.iterator if (i < j || t1 < t2) && !(s1 && seen(t2))
+    } yield (t1, v1, t2, v2)
+  }
 
-    val v12 = orderedViolation(dc, "1", "2")
-    val v21 = orderedViolation(dc, "2", "1")
-    val raw = joined.filter(v12 || v21)
-      .select((Seq(col(tidC + "1"), col(tidC + "2"),
-        when(v12 && v21, "both").when(v12, "12").otherwise("21").as("dir")) ++
-        attrs.flatMap(a => Seq(col(a + "1"), col(a + "2")))): _*)
+  /** The driver-side theta-join: every violating pair among the
+    * [[compared]] tuple pairs, once.
+    */
+  def violationsOf(points: Iterable[Point], seen: Long => Boolean, dc: InequalityDc,
+                   pairs: Seq[(Int, Int)], stats: Seq[BucketStat]): Seq[Violation] = {
+    val atoms = dc.atoms.map(at => (at, dc.attrs.indexOf(at.attr))).toArray
+    def violates(x: Array[Double], y: Array[Double]): Boolean = {
+      var k = 0
+      while (k < atoms.length && atoms(k)._1.eval(x(atoms(k)._2), y(atoms(k)._2))) k += 1
+      k == atoms.length
+    }
+    val out = mutable.LinkedHashMap[(Long, Long), Violation]()
+    for ((t1, v1, t2, v2) <- compared(points, seen, dc, pairs, stats)) {
+      val (v12, v21) = (violates(v1, v2), violates(v2, v1))
+      if (v12 || v21) {
+        val dir = if (v12 && v21) "both" else if (v12) "12" else "21"
+        // Canonical orientation: tid1 < tid2, with dir/value sides swapped.
+        val v =
+          if (t1 <= t2) Violation(t1, t2, dir, v1, v2)
+          else Violation(t2, t1, if (dir == "12") "21" else if (dir == "21") "12" else dir, v2, v1)
+        out.getOrElseUpdate((v.tid1, v.tid2), v)
+      }
+    }
+    out.values.toSeq
+  }
 
-    // Canonical orientation: tid1 < tid2, with dir/value sides swapped.
-    val swap = col(tidC + "1") > col(tidC + "2")
-    raw.select((Seq(
-      least(col(tidC + "1"), col(tidC + "2")).as(tidC + "1"),
-      greatest(col(tidC + "1"), col(tidC + "2")).as(tidC + "2"),
-      when(!swap || col("dir") === "both", col("dir"))
-        .when(col("dir") === "12", "21").otherwise("12").as("dir")) ++
-      attrs.flatMap(a => Seq(
-        when(swap, col(a + "2")).otherwise(col(a + "1")).as(a + "1"),
-        when(swap, col(a + "1")).otherwise(col(a + "2")).as(a + "2")))): _*)
-      .distinct()
+  /** `vs` as a local DataFrame of rows (tid1, tid2, dir, a1, a2 per DC attribute a). */
+  private def violationsDf(spark: SparkSession, dc: InequalityDc, vs: Seq[Violation]): DataFrame = {
+    val schema = StructType(Seq(StructField(tidC + "1", LongType), StructField(tidC + "2", LongType),
+      StructField("dir", StringType)) ++
+      dc.attrs.flatMap(a => Seq(StructField(a + "1", DoubleType), StructField(a + "2", DoubleType))))
+    spark.createDataFrame(vs.map(v => Row.fromSeq(Seq(v.tid1, v.tid2, v.dir) ++
+      dc.attrs.indices.flatMap(k => Seq(v.vals1(k), v.vals2(k))))).asJava, schema)
+  }
+
+  /** The violations of rows shaped like [[violations]]' result. */
+  private[core] def violationsFrom(df: DataFrame, dc: InequalityDc): Seq[Violation] = {
+    val n = dc.attrs.size
+    df.select((Seq(col(tidC + "1"), col(tidC + "2"), col("dir")) ++
+        dc.attrs.map(a => col(a + "1")) ++ dc.attrs.map(a => col(a + "2"))): _*)
+      .collect().toSeq.map(r => Violation(r.getLong(0), r.getLong(1), r.getString(2),
+        (3 until 3 + n).map(r.getDouble).toArray, (3 + n until 3 + 2 * n).map(r.getDouble).toArray))
+  }
+
+  /** [[violationsOf]] over a bucketized DataFrame: `df` must carry `__b`
+    * (from [[bucketize]]) and may carry a `__seen` boolean (a null one
+    * counts as seen). Returns the rows of [[violationsDf]].
+    */
+  def violations(df: DataFrame, dc: InequalityDc, pairs: Seq[(Int, Int)],
+                 stats: Seq[BucketStat]): DataFrame = {
+    val seenCol = if (df.columns.contains("__seen")) coalesce(col("__seen"), lit(true)) else lit(false)
+    val rows = df.filter(col("__b").isNotNull)
+      .select((Seq(col(tidC), col("__b"), seenCol) ++ attrCols(dc)): _*).collect()
+    val seen = rows.collect { case r if r.getBoolean(2) => r.getLong(0) }.toSet
+    val points = rows.map(r => pointOf(r.getLong(0), r.getInt(1), valuesOf(r, 3, dc.attrs.size)))
+    violationsDf(df.sparkSession, dc, violationsOf(points, seen, dc, pairs, stats))
   }
 
   // ---------------------------------------------------------------------

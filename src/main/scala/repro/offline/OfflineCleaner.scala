@@ -26,6 +26,10 @@ import repro.core.ProbData.MaterializeOps
   *    A wall-clock timeout mirrors the paper's one-day cap; groups the
   *    loop never reached stay unchecked and certain.
   *
+  * An inequality DC runs Daisy's DC kernel over the whole matrix: one
+  * collection of its points ([[ThetaJoin.bucketize]]), detection and
+  * repair on the driver, one rewrite ([[DcRepair.clean]]).
+  *
   * Both modes run the same FD repair kernel ([[FdRepair]]) and, unless
   * the timeout hits, produce the same probabilistic state, which equals
   * Daisy's after a whole-dataset workload — the equivalence the paper
@@ -73,7 +77,7 @@ object OfflineCleaner {
       case dc: InequalityDc =>
         val buck = ThetaJoin.bucketize(state, dc, dcPartitions)
         val pairs = ThetaJoin.candidatePairs(dc, buck.stats)
-        state = DcRepair.clean(state, ThetaJoin.violations(buck.data, dc, pairs, buck.stats), dc)._1
+        state = DcRepair.clean(state, ThetaJoin.violationsOf(buck.points, _ => false, dc, pairs, buck.stats), dc)._1
     }
     Result(state, (System.nanoTime() - t0) / 1e9, timedOut, done, total)
   }

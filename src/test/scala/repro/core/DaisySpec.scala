@@ -145,6 +145,24 @@ class DaisySpec extends SparkSpec {
     assert(noJon.select("ename").collect().map(_.getString(0)).toSet == Set("Peter", "Mary"))
   }
 
+  test("SPJ: every joined right tuple carries its checked marks from the state") {
+    val d = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("cities" -> Seq(fd), "emp" -> Seq(TestData.empFd)))
+    // No projection, so the result keeps the right side's `__rchk`.
+    val res = d.execute(QuerySpec("cities", where = Seq(Pred("city", "=", "Los Angeles")),
+      join = Some(JoinSpec("emp", "zip", "ezip"))))
+    assert(!d.lastReport.perRule.find(_.ruleId == TestData.empFd.id).get.skippedByPruning)
+    def marks(df: DataFrame, tid: String, chk: String) =
+      df.select(tid, chk).collect().map(r => r.getLong(0) -> r.getSeq[String](1).sorted.toSeq).toSet
+    val state = marks(d.state("emp"), "__tid", ProbData.ChkCol).toMap
+    val rows = marks(res, "__rtid", "__rchk")
+    assert(rows.map(_._1) == Set(0L, 1L, 2L))
+    rows.foreach { case (t, c) => assert(c == state(t), s"employee $t") }
+    // Peter (2): checked by the join-side step, his candidates unchanged.
+    assert(state(2L) == Seq(TestData.empFd.id))
+  }
+
   test("Daisy and the offline cleaner reject a relation without __tid") {
     val noTid = TestData.cities(spark).drop("__tid")
     for (f <- Seq(() => Daisy.single(spark, "cities", noTid, Seq(fd)),

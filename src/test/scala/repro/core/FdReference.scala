@@ -31,7 +31,7 @@ object FdReference {
 
   /** (tid, rv) — every candidate rhs value of every tuple. */
   def rhsValues(state: DataFrame, fd: Fd): DataFrame =
-    ProbData.explodeValues(state, fd.rhs, "rv")
+    state.select(col(tidC), explode(ProbData.valuesExpr(state, fd.rhs)).as("rv"))
 
   /** Algorithm 1. `answerTids` is a single-column DataFrame of the
     * tids of the dirty query answer A. Returns the relaxed result.

@@ -66,10 +66,10 @@ class PropertiesSpec extends AnyFunSuite {
     } yield (n, v, k)
     forSeeds { s =>
       val (n, v, k) = sample(g, s)
-      val p = Relaxation.probExtraViolation(n, v, k)
+      val p = RelaxationEstimates.probExtraViolation(n, v, k)
       assert(p >= 0.0 && p <= 1.0, s"seed $s")
       if (v + 1 <= n)
-        assert(Relaxation.probExtraViolation(n, v + 1, k) >= p - 1e-12, s"seed $s")
+        assert(RelaxationEstimates.probExtraViolation(n, v + 1, k) >= p - 1e-12, s"seed $s")
     }
   }
 

@@ -86,34 +86,34 @@ class RelaxationSpec extends SparkSpec {
   // --- Lemma 2: hypergeometric estimate --------------------------------
 
   test("Lemma 2: zero violations give probability 0") {
-    assert(Relaxation.probExtraViolation(100, 0, 10) == 0.0)
+    assert(RelaxationEstimates.probExtraViolation(100, 0, 10) == 0.0)
   }
 
   test("Lemma 2: result covering the complement forces a violation") {
-    assert(Relaxation.probExtraViolation(10, 3, 8) == 1.0)
+    assert(RelaxationEstimates.probExtraViolation(10, 3, 8) == 1.0)
   }
 
   test("Lemma 2: probability grows with the result size") {
-    val ps = Seq(1L, 5L, 20L, 50L).map(Relaxation.probExtraViolation(100, 5, _))
+    val ps = Seq(1L, 5L, 20L, 50L).map(RelaxationEstimates.probExtraViolation(100, 5, _))
     assert(ps == ps.sorted && ps.forall(p => p >= 0 && p <= 1))
   }
 
   test("Lemma 2: matches the exact hypergeometric on a small case") {
     // n=5, vio=2, |A|=2: Pr(0) = C(3,2)/C(5,2) = 3/10.
-    assert(math.abs(Relaxation.probExtraViolation(5, 2, 2) - 0.7) < 1e-9)
+    assert(math.abs(RelaxationEstimates.probExtraViolation(5, 2, 2) - 0.7) < 1e-9)
   }
 
   // --- Lemma 3: relaxed-size upper bound -------------------------------
 
   test("Lemma 3: upper bound dominates the actual one-iteration growth") {
     val a = answer(col("city") === "Los Angeles")
-    val bound = Relaxation.upperBoundExtra(state, a, Seq(fd.rhs) ++ fd.lhs)
+    val bound = RelaxationEstimates.upperBoundExtra(state, a, Seq(fd.rhs) ++ fd.lhs)
     val r = Relaxation.relax(state, a, fd, maxIter = 1)
     assert(bound >= r.extraCount && bound == 1)
   }
 
   test("Lemma 3: bound is zero when the result already covers its values") {
-    val bound = Relaxation.upperBoundExtra(state, state.select(ProbData.TidCol),
+    val bound = RelaxationEstimates.upperBoundExtra(state, state.select(ProbData.TidCol),
       Seq("zip", "city"))
     assert(bound == 0)
   }
