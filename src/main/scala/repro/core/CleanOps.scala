@@ -47,28 +47,38 @@ object CleanOps {
     * (originating tuple ids of both sides, as the paper stores for
     * potential later inference) plus every column of both inputs;
     * right-side bookkeeping columns are prefixed with `__r`.
+    *
+    * Each side's rows are exploded once per distinct candidate key value
+    * and joined on the value as a broadcast hash join, the right part
+    * being the broadcast side, so it must fit in memory. A pair sharing
+    * several values is kept at the smallest of them only, which needs no
+    * exchange. Null key values and range candidates match nothing.
     */
   def probEquiJoin(left: DataFrame, right: DataFrame,
                    leftKey: String, rightKey: String): DataFrame = {
-    // Each side's rows once per candidate key value, joined once on the
-    // value; a pair sharing several values is one row.
     val l = left.withColumnRenamed(tidC, "__ltid")
-      .withColumn("__kv", explode(ProbData.valuesExpr(left, leftKey)))
-    val r = renameRight(right.withColumn("__kv", explode(ProbData.valuesExpr(right, rightKey))),
-      left.columns.toSet)
-    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(c => c != "__ltid" && c != "__kv") ++
-      r.columns.filter(c => c != "__rtid" && c != "__kv")
-    l.join(r, "__kv").dropDuplicates("__ltid", "__rtid").select(cols.map(col): _*)
+      .withColumn("__lvs", array_distinct(ProbData.valuesExpr(left, leftKey)))
+      .withColumn("__kv", explode(col("__lvs")))
+    val r = renameRight(right.withColumn("__rvs", array_distinct(ProbData.valuesExpr(right, rightKey)))
+      .withColumn("__kv", explode(col("__rvs"))), left.columns.toSet)
+    val helper = Set("__kv", "__lvs", "__rvs")
+    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(c => c != "__ltid" && !helper(c)) ++
+      r.columns.filter(c => c != "__rtid" && !helper(c))
+    l.join(broadcast(r), "__kv")
+      .filter(col("__kv") === array_min(array_intersect(col("__lvs"), col("__rvs"))))
+      .select(cols.map(col): _*)
   }
 
   /** Incremental join update (§5.1, Fig. 3): replaces the rows of the
     * `rightExtra` tuples in the existing result by their join against
     * the left part — the second join of the plan after `clean_⋈` runs.
+    * Both joins broadcast the `rightExtra` side.
     */
   def incrementalJoin(existing: DataFrame, left: DataFrame, rightExtra: DataFrame,
                       leftKey: String, rightKey: String): DataFrame = {
     val cols = existing.columns.map(col)
-    existing.join(rightExtra.select(col(tidC).as("__rtid")), Seq("__rtid"), "left_anti").select(cols: _*)
+    existing.join(broadcast(rightExtra.select(col(tidC).as("__rtid"))), Seq("__rtid"), "left_anti")
+      .select(cols: _*)
       .union(probEquiJoin(left, rightExtra, leftKey, rightKey).select(cols: _*))
   }
 

@@ -99,6 +99,10 @@ final class Daisy(val spark: SparkSession,
       reports += runStep(q.table, step, ProbData.qualifiesAll(states(q.table), q.where), q.where)
 
     var result = states(q.table).filter(ProbData.qualifiesAll(states(q.table), q.where))
+    val aggregated = q.groupBy.nonEmpty || q.aggs.nonEmpty
+    // The row count of a join result that is neither re-joined nor
+    // aggregated: its lineage has one row per joined row.
+    var joinedRows: Option[Long] = None
 
     // --- join: clean_⋈ ---------------------------------------------
     for (j <- q.join) {
@@ -106,9 +110,9 @@ final class Daisy(val spark: SparkSession,
       // join, after them for the re-join.
       def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
       val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).materialized
-      // The joined right tuples with their checked marks, collected once.
-      lazy val rightChk = joined.select("__rtid", "__rchk").collect()
-        .map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
+      // The joined rows' right tuples with their checked marks, collected once.
+      lazy val lineage = joined.select("__rtid", "__rchk").collect()
+      lazy val rightChk = lineage.map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
       lazy val rightQual = col(tidC).isin(rightChk.keys.toSeq: _*)
       val ran = plan.steps.filter(_.isJoinSide).map(step => step.rule -> runStep(j.rightTable, step, rightQual))
       reports ++= ran.map(_._2)
@@ -120,14 +124,15 @@ final class Daisy(val spark: SparkSession,
         val unmarked = rightChk.collect { case (t, chk) if !chk.contains(rule.id) => t }
         ProbData.checkedBy(rule.id) && col(tidC).isin(unmarked.toSeq: _*)
       }
-      result =
-        if (rules.isEmpty) joined
-        else CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
-          j.leftKey, j.rightKey).materialized
+      if (rules.isEmpty) {
+        result = joined
+        if (!aggregated) joinedRows = Some(lineage.length.toLong)
+      } else result = CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
+        j.leftKey, j.rightKey).materialized
     }
 
     // --- aggregation (cleaning already pushed below it) ------------
-    if (q.groupBy.nonEmpty || q.aggs.nonEmpty) {
+    if (aggregated) {
       val aggCols = q.aggs.map { a =>
         val c = col(a.col).cast("double")
         (a.func match {
@@ -146,7 +151,7 @@ final class Daisy(val spark: SparkSession,
       result = result.select((lineage ++ withCands).distinct.map(col): _*)
     }
 
-    val rows = result.count()
+    val rows = joinedRows.getOrElse(result.count())
     lastReport = ExecReport(plan, rows, reports.toSeq)
     result
   }
@@ -259,7 +264,7 @@ final class Daisy(val spark: SparkSession,
     */
   private def cleanDc(table: String, dc: InequalityDc, rec: Daisy.DcRecord,
                       seen: Long => Boolean): Daisy.DcRecord = {
-    val found = ThetaJoin.violationsOf(rec.buck.points, seen, dc, rec.pairs, rec.buck.stats)
+    val found = ThetaJoin.violationsOf(rec.buck.points, seen, dc, rec.pairs)
     val vios = found.map(v => (v.tid1, v.tid2) -> v).toMap ++ rec.vios
     if (vios.size == rec.vios.size) rec
     else {

@@ -15,9 +15,10 @@ import scala.jdk.CollectionConverters._
   * the upper-triangle bucket pairs are checked (symmetric pairs are
   * pruned) and a bucket pair is checked at all only if every atom of
   * the DC can hold between the buckets' value boundaries — the
-  * partition-level pruning of Example 4. Intra-partition pruning
-  * tightens each side's value range to the sub-range that can actually
-  * produce a violation with the partner bucket.
+  * partition-level pruning of Example 4. Within a bucket pair every
+  * tuple pair is compared: with equi-width axis buckets, tightening a
+  * side to the axis range that can violate with its partner keeps the
+  * whole bucket, and pruning on the other atoms' bounds is not done.
   *
   * [[bucketize]] collects the DC attributes of every tuple with a
   * non-null axis value to the driver in one Spark job; the matrix is
@@ -150,63 +151,24 @@ object ThetaJoin {
     } yield (i, j)
   }
 
-  /** The admissible axis ranges of bucket pair (i, j): intra-partition
-    * pruning (Example 4) tightens each side's range to the hull of the
-    * orientations that can actually violate with the partner bucket.
-    * Returns (i, j, left lo, left hi, right lo, right hi).
-    */
-  private def hullRanges(dc: InequalityDc, pairs: Seq[(Int, Int)],
-                         stats: Seq[BucketStat]): Seq[(Int, Int, Double, Double, Double, Double)] = {
-    val byIdx = stats.map(s => s.idx -> s).toMap
-    val axis = dc.atoms.head.attr
-    def hull(selfRole2Possible: Boolean, selfRole1Possible: Boolean,
-             partner: (Double, Double)): (Double, Double) = {
-      val (pl, ph) = partner
-      val op = dc.atoms.head.op
-      var lo = Double.PositiveInfinity; var hi = Double.NegativeInfinity
-      def add(l: Double, h: Double): Unit = { lo = math.min(lo, l); hi = math.max(hi, h) }
-      if (selfRole1Possible) op match { // self is t1: self op partner
-        case "<" | "<=" => add(Double.NegativeInfinity, ph)
-        case ">" | ">=" => add(pl, Double.PositiveInfinity)
-      }
-      if (selfRole2Possible) op match { // self is t2: partner op self
-        case "<" | "<=" => add(pl, Double.PositiveInfinity)
-        case ">" | ">=" => add(Double.NegativeInfinity, ph)
-      }
-      (lo, hi)
-    }
-    pairs.map { case (i, j) =>
-      val si = byIdx(i); val sj = byIdx(j)
-      val o12 = orientationPossible(dc, si, sj) // left t1, right t2
-      val o21 = orientationPossible(dc, sj, si) // right t1, left t2
-      val (lLo, lHi) = hull(o21, o12, sj.bounds(axis))
-      val (rLo, rHi) = hull(o12, o21, si.bounds(axis))
-      (i, j, lLo, lHi, rLo, rHi)
-    }
-  }
-
   /** The tuple pairs of the matrix that [[violationsOf]] compares, as
-    * (tid1, values1, tid2, values2): per bucket pair of `pairs` (indices
-    * into `stats`, the bucketization's statistics), each side keeps the
-    * points of its bucket inside the pair's hull range, and a pair is
-    * compared unless both tuples were `seen` — the incremental matrix
-    * subset of §4.2: result × unseen plus result × result, never
-    * seen × seen again. Distinct bucket pairs see each unordered tuple
-    * pair once; within a diagonal bucket the tid order dedupes. Points
-    * without values are left out: they violate nothing.
+    * (tid1, values1, tid2, values2): per bucket pair of `pairs`, the
+    * points of the two buckets, and a pair is compared unless both tuples
+    * were `seen` — the incremental matrix subset of §4.2: result × unseen
+    * plus result × result, never seen × seen again. Distinct bucket pairs
+    * see each unordered tuple pair once; within a diagonal bucket the tid
+    * order dedupes. Points without values are left out: they violate
+    * nothing.
     */
-  private[core] def compared(points: Iterable[Point], seen: Long => Boolean, dc: InequalityDc,
-                             pairs: Seq[(Int, Int)], stats: Seq[BucketStat])
-      : Iterator[(Long, Array[Double], Long, Array[Double])] = {
-    val ax = dc.attrs.indexOf(dc.atoms.head.attr)
-    val byBucket = points.collect { case Point(t, b, Some(vs)) => (t, b, vs) }.groupBy(_._2)
-    def side(b: Int, lo: Double, hi: Double) = byBucket.getOrElse(b, Nil).collect {
-      case (t, _, vs) if sqlOrder.gteq(vs(ax), lo) && sqlOrder.lteq(vs(ax), hi) => (t, vs)
-    }.toArray
+  private[core] def compared(points: Iterable[Point], seen: Long => Boolean,
+                             pairs: Seq[(Int, Int)]): Iterator[(Long, Array[Double], Long, Array[Double])] = {
+    val byBucket = points.collect { case Point(t, b, Some(vs)) => (b, (t, vs)) }
+      .groupMap(_._1)(_._2).view.mapValues(_.toArray).toMap
+    def side(b: Int) = byBucket.getOrElse(b, Array.empty[(Long, Array[Double])])
     for {
-      (i, j, lLo, lHi, rLo, rHi) <- hullRanges(dc, pairs, stats).iterator
-      right = side(j, rLo, rHi)
-      (t1, v1) <- side(i, lLo, lHi).iterator
+      (i, j) <- pairs.iterator
+      right = side(j)
+      (t1, v1) <- side(i).iterator
       s1 = seen(t1)
       (t2, v2) <- right.iterator if (i < j || t1 < t2) && !(s1 && seen(t2))
     } yield (t1, v1, t2, v2)
@@ -216,7 +178,7 @@ object ThetaJoin {
     * [[compared]] tuple pairs, once.
     */
   def violationsOf(points: Iterable[Point], seen: Long => Boolean, dc: InequalityDc,
-                   pairs: Seq[(Int, Int)], stats: Seq[BucketStat]): Seq[Violation] = {
+                   pairs: Seq[(Int, Int)]): Seq[Violation] = {
     val atoms = dc.atoms.map(at => (at, dc.attrs.indexOf(at.attr))).toArray
     def violates(x: Array[Double], y: Array[Double]): Boolean = {
       var k = 0
@@ -224,7 +186,7 @@ object ThetaJoin {
       k == atoms.length
     }
     val out = mutable.LinkedHashMap[(Long, Long), Violation]()
-    for ((t1, v1, t2, v2) <- compared(points, seen, dc, pairs, stats)) {
+    for ((t1, v1, t2, v2) <- compared(points, seen, pairs)) {
       val (v12, v21) = (violates(v1, v2), violates(v2, v1))
       if (v12 || v21) {
         val dir = if (v12 && v21) "both" else if (v12) "12" else "21"
@@ -258,7 +220,8 @@ object ThetaJoin {
 
   /** [[violationsOf]] over a bucketized DataFrame: `df` must carry `__b`
     * (from [[bucketize]]) and may carry a `__seen` boolean (a null one
-    * counts as seen). Returns the rows of [[violationsDf]].
+    * counts as seen). Returns the rows of [[violationsDf]]. `stats` is
+    * not read: `pairs` alone decides which buckets are compared.
     */
   def violations(df: DataFrame, dc: InequalityDc, pairs: Seq[(Int, Int)],
                  stats: Seq[BucketStat]): DataFrame = {
@@ -267,7 +230,7 @@ object ThetaJoin {
       .select((Seq(col(tidC), col("__b"), seenCol) ++ attrCols(dc)): _*).collect()
     val seen = rows.collect { case r if r.getBoolean(2) => r.getLong(0) }.toSet
     val points = rows.map(r => pointOf(r.getLong(0), r.getInt(1), valuesOf(r, 3, dc.attrs.size)))
-    violationsDf(df.sparkSession, dc, violationsOf(points, seen, dc, pairs, stats))
+    violationsDf(df.sparkSession, dc, violationsOf(points, seen, dc, pairs))
   }
 
   // ---------------------------------------------------------------------

@@ -77,7 +77,7 @@ object OfflineCleaner {
       case dc: InequalityDc =>
         val buck = ThetaJoin.bucketize(state, dc, dcPartitions)
         val pairs = ThetaJoin.candidatePairs(dc, buck.stats)
-        state = DcRepair.clean(state, ThetaJoin.violationsOf(buck.points, _ => false, dc, pairs, buck.stats), dc)._1
+        state = DcRepair.clean(state, ThetaJoin.violationsOf(buck.points, _ => false, dc, pairs), dc)._1
     }
     Result(state, (System.nanoTime() - t0) / 1e9, timedOut, done, total)
   }

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.ProbData.MaterializeOps
@@ -119,5 +121,23 @@ class CleanOpsSpec extends SparkSpec {
       "SELECT c.city AS city, e.ename AS name FROM cities c JOIN emp e ON c.zip = e.ezip",
       "cities" -> TestData.citiesJoin(spark).drop("__tid"),
       "emp" -> TestData.employees(spark).drop("__tid"))
+  }
+
+  test("probEquiJoin and incrementalJoin run as broadcast hash joins without a shuffle") {
+    val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
+    val cleanedC = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1).state
+    val laPart = cleanedC.filter(ProbData.qualifies(cleanedC, Pred("city", "=", "Los Angeles")))
+    val empState = emps.materialized
+    val j0 = CleanOps.probEquiJoin(laPart, empState, "zip", "ezip")
+    val cleanedE = CleanOps.cleanSelectFd(empState, j0.select(col("__rtid").as("__tid")),
+      TestData.empFd).state
+    val j1 = CleanOps.incrementalJoin(j0, laPart, cleanedE.filter(ProbData.isDirty("ezip")),
+      "zip", "ezip")
+    for ((df, joins) <- Seq(j0 -> 1, j1 -> 3)) {
+      val plan = df.queryExecution.executedPlan
+      assert(plan.collect { case s: ShuffleExchangeExec => s }.isEmpty, plan)
+      assert(plan.collect { case s: SortMergeJoinExec => s }.isEmpty, plan)
+      assert(plan.collect { case b: BroadcastHashJoinExec => b }.size == joins, plan)
+    }
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.SparkSpec
 import repro.data.{Hospital, SSB}
 import repro.offline.OfflineCleaner
@@ -16,9 +16,12 @@ import repro.offline.OfflineCleaner
   * materialized state rewrite (detection and repair run on the driver),
   * and the result count; a query whose detection finds no new pair
   * rewrites nothing.
-  * An SPJ query runs the materialized join, the collection of its right
-  * tids and the join-side steps, and re-joins the right tuples once
-  * only when a join-side step was not pruned.
+  * An SPJ query runs the materialized join (its right part broadcast,
+  * one job), the collection of its lineage (the right tids with their
+  * checked marks) and the join-side steps, and re-joins the right tuples
+  * once only when a join-side step was not pruned; without a re-join or
+  * an aggregate the lineage gives the row count. Its joins run no
+  * shuffle, so the SPJ tests bound stages too.
   * The offline cleaner's per-group mode runs one signature collection
   * per dirty group plus a constant (the initial materialization, the
   * detection, one rewrite and the clean-group pass), the O(ε·n) shape
@@ -29,20 +32,26 @@ import repro.offline.OfflineCleaner
   */
 class DaisyJobCountSpec extends SparkSpec {
 
-  private def jobsOf[A](f: => A): (A, Int) = {
+  /** `f`'s result, the Spark jobs it ran and the stages they ran (a
+    * skipped stage is not counted).
+    */
+  private def countsOf[A](f: => A): (A, Int, Int) = {
     val sc = spark.sparkContext
     ListenerBusDrain.drain(sc)
-    val jobs = new AtomicInteger
+    val (jobs, stages) = (new AtomicInteger, new AtomicInteger)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
     }
     sc.addSparkListener(listener)
     try {
       val a = f
       ListenerBusDrain.drain(sc)
-      (a, jobs.get)
+      (a, jobs.get, stages.get)
     } finally sc.removeSparkListener(listener)
   }
+
+  private def jobsOf[A](f: => A): (A, Int) = { val (a, jobs, _) = countsOf(f); (a, jobs) }
 
   test("φ1 on a small hospital table: a cleaned query runs ≤ 5 jobs, a pruned one ≤ 2") {
     val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
@@ -103,11 +112,26 @@ class DaisyJobCountSpec extends SparkSpec {
       Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
       Map("emp" -> Seq(TestData.empFd)))
     // Peter's phone group is clean, so the join-side rule is pruned.
-    val (_, jobs) = jobsOf(d.execute(QuerySpec("cities", select = Seq("city", "ename"),
+    val (_, jobs, stages) = countsOf(d.execute(QuerySpec("cities", select = Seq("city", "ename"),
       join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter")))))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(true))
     assert(d.lastReport.resultRows == 2)
     assert(jobs <= 4, s"SPJ query with a pruned join-side rule ran $jobs jobs")
+    assert(stages <= 4, s"SPJ query with a pruned join-side rule ran $stages stages")
+  }
+
+  test("an SPJ query that cleans both sides re-joins once") {
+    val d = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("cities" -> Seq(TestData.cityFd), "emp" -> Seq(TestData.empFd)))
+    // Example 6: both sides are cleaned, then the changed employees re-join.
+    val (_, jobs, stages) = countsOf(d.execute(QuerySpec("cities",
+      where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename"),
+      join = Some(JoinSpec("emp", "zip", "ezip")))))
+    assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
+    assert(d.lastReport.resultRows == 4)
+    assert(jobs <= 13, s"SPJ query that re-joins ran $jobs jobs")
+    assert(stages <= 14, s"SPJ query that re-joins ran $stages stages")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {

@@ -3,12 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
-import repro.SparkSpec
-import scala.concurrent.{Await, Future}
-import scala.concurrent.ExecutionContext.Implicits.global
-import scala.concurrent.duration.Duration
-import scala.util.{Failure, Success}
+import repro.SeededSpec
 
 /** The driver-side DC kernel ([[ThetaJoin.bucketize]],
   * [[ThetaJoin.violationsOf]], [[DcRepair.fixesOf]], [[DcRepair.clean]])
@@ -16,37 +11,15 @@ import scala.util.{Failure, Success}
   * small tables: one to three atoms over `<`, `<=`, `>`, `>=`, tied
   * values, null axis and non-axis values, p ∈ {1, 4, 9, 64}, a random
   * seen set and `maxFixAtoms` 1 and 2. Bucket statistics, the compared
-  * tuple pairs (partition and hull pruning), the violation rows, the
-  * fixes and the cleaned state must be equal.
+  * tuple pairs, the violation rows, the fixes and the cleaned state must
+  * be equal. The kernel compares whole buckets while the reference keeps
+  * the intra-partition hull ranges of Example 4, so equal compared pairs
+  * also show that those ranges exclude no point of equi-width buckets.
   */
-class DcKernelDifferentialSpec extends SparkSpec {
+class DcKernelDifferentialSpec extends SeededSpec {
   import DcKernelDifferentialSpec.Case
 
-  private val params = Gen.Parameters.default
-  private def sample[A](g: Gen[A], seed: Long): A = g.pureApply(params, Seed(seed))
-
   private val seeds = (1L to 40L).toVector
-
-  // The reference shuffles a dozen-row table several times per seed: one
-  // shuffle partition and interpreted expressions keep the suite's time
-  // down. The settings are restored afterwards.
-  private val settings = Seq("spark.sql.shuffle.partitions" -> "1",
-    "spark.sql.codegen.wholeStage" -> "false", "spark.sql.codegen.factoryMode" -> "NO_CODEGEN")
-  private var saved: Seq[(String, Option[String])] = Nil
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
-    settings.foreach { case (k, v) => spark.conf.set(k, v) }
-  }
-
-  override def afterAll(): Unit = {
-    saved.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None) => spark.conf.unset(k)
-    }
-    super.afterAll()
-  }
 
   private val attrs = Seq("x", "y", "z")
 
@@ -90,9 +63,7 @@ class DcKernelDifferentialSpec extends SparkSpec {
       }).toMap
 
   test("the driver-side DC kernel equals the Spark SQL reference") {
-    // Every seed runs to its end before the first failure is reported,
-    // so no seed's Spark jobs outlive the test.
-    val outcomes = Await.result(Future.traverse(seeds)(seed => Future {
+    forSeeds(seeds) { seed =>
       val c = sample(caseGen, seed)
       val dc = c.dc
       val ctx = s"seed $seed, $dc, p ${c.p}, seen ${c.seen.toSeq.sorted}, rows ${c.rows}"
@@ -115,11 +86,11 @@ class DcKernelDifferentialSpec extends SparkSpec {
       val refCompared = DcReference.compared(flagged, dc, pairs, ref.stats)
         .select(ProbData.TidCol + "1", ProbData.TidCol + "2").collect()
         .map(r => (r.getLong(0), r.getLong(1))).filter { case (t1, t2) => complete(t1) && complete(t2) }
-      val compared = ThetaJoin.compared(b.points, c.seen, dc, pairs, b.stats).map(x => (x._1, x._3)).toSeq
+      val compared = ThetaJoin.compared(b.points, c.seen, pairs).map(x => (x._1, x._3)).toSeq
       assert(compared.sorted == refCompared.toSeq.sorted, ctx)
 
       val refVios = DcReference.violations(flagged, dc, pairs, ref.stats)
-      val vios = ThetaJoin.violationsOf(b.points, c.seen, dc, pairs, b.stats)
+      val vios = ThetaJoin.violationsOf(b.points, c.seen, dc, pairs)
       assert(vios.map(vioRow).toSet == vioRows(refVios, dc), ctx)
       assert(vios.size == vios.map(v => (v.tid1, v.tid2)).distinct.size, ctx)
       assert(vioRows(ThetaJoin.violations(flagged, dc, pairs, b.stats), dc) == vioRows(refVios, dc), ctx)
@@ -135,8 +106,7 @@ class DcKernelDifferentialSpec extends SparkSpec {
         assert(stateRows(cleaned, dc) == expected, s"$ctx, maxFixAtoms $m")
         assert(nTouched == touched.count(), s"$ctx, maxFixAtoms $m")
       }
-    }.transform(Success(_))), Duration.Inf)
-    outcomes.collectFirst { case Failure(e) => throw e }
+    }
   }
 }
 

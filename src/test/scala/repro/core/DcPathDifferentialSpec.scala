@@ -3,12 +3,8 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
-import repro.SparkSpec
+import repro.SeededSpec
 import repro.offline.OfflineCleaner
-import scala.concurrent.{Await, Future}
-import scala.concurrent.ExecutionContext.Implicits.global
-import scala.concurrent.duration.Duration
 
 /** Daisy's DC clean path against the offline cleaner on ScalaCheck-seeded
   * small numeric tables: a two- or three-atom inequality DC, on some
@@ -19,35 +15,10 @@ import scala.concurrent.duration.Duration
   * must equal the offline cleaner's, and re-running a query of the
   * covered workload must leave the state unchanged.
   */
-class DcPathDifferentialSpec extends SparkSpec {
+class DcPathDifferentialSpec extends SeededSpec {
   import DcPathDifferentialSpec.Case
 
-  private val params = Gen.Parameters.default
-  private def sample[A](g: Gen[A], seed: Long): A = g.pureApply(params, Seed(seed))
-
   private val seeds = (1L to 20L).toVector
-
-  // A dozen-row table is shuffled many times per query, and each query
-  // plans new code: one shuffle partition (as in FdKernelDifferentialSpec)
-  // and interpreted expressions keep the suite's time down. The settings
-  // are restored afterwards.
-  private val settings = Seq("spark.sql.shuffle.partitions" -> "1",
-    "spark.sql.codegen.wholeStage" -> "false", "spark.sql.codegen.factoryMode" -> "NO_CODEGEN")
-  private var saved: Seq[(String, Option[String])] = Nil
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
-    settings.foreach { case (k, v) => spark.conf.set(k, v) }
-  }
-
-  override def afterAll(): Unit = {
-    saved.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None) => spark.conf.unset(k)
-    }
-    super.afterAll()
-  }
 
   private val numeric = Seq("x", "y", "z")
 
@@ -90,7 +61,7 @@ class DcPathDifferentialSpec extends SparkSpec {
       .collect().map(r => r.getLong(0) -> r.toSeq.tail).toMap
 
   test("Daisy's DC state equals the offline cleaner's after covering band workloads") {
-    Await.result(Future.traverse(seeds)(seed => Future {
+    forSeeds(seeds) { seed =>
       val c = sample(caseGen, seed)
       val df = spark.createDataFrame(c.rows).toDF("__tid", "x", "y", "z", "a", "b")
       val rules = c.dc +: (if (c.withFd) Seq(fd) else Nil)
@@ -114,7 +85,7 @@ class DcPathDifferentialSpec extends SparkSpec {
         d.execute(qs(c.rerun))
         assert(canon(d.state("t"), attrs, allMarks) == before, s"$ctx, re-run of query ${c.rerun}")
       }
-    }), Duration.Inf)
+    }
   }
 }
 

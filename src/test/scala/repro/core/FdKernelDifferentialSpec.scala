@@ -3,11 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
-import repro.SparkSpec
-import scala.concurrent.{Await, Future}
-import scala.concurrent.ExecutionContext.Implicits.global
-import scala.concurrent.duration.Duration
+import repro.SeededSpec
 
 /** The value-graph kernel against the DataFrame reference
   * ([[FdReference]]) on ScalaCheck-seeded small tables: single- and
@@ -15,30 +11,15 @@ import scala.concurrent.duration.Duration
   * rule, tuples already checked by an earlier query, and answers given
   * as tid sets, rhs filters and lhs filters.
   */
-class FdKernelDifferentialSpec extends SparkSpec {
+class FdKernelDifferentialSpec extends SeededSpec {
   import FdKernelDifferentialSpec.Case
-
-  private val params = Gen.Parameters.default
-  private def sample[A](g: Gen[A], seed: Long): A = g.pureApply(params, Seed(seed))
 
   private val seeds = (1L to 50L).toVector
 
   // The reference shuffles a dozen-row table many times per query; one
   // shuffle partition keeps its tasks from dominating the suite's time,
   // and the seeds run concurrently to overlap its per-job planning.
-  private val partitionsKey = "spark.sql.shuffle.partitions"
-  private var savedPartitions: String = _
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    savedPartitions = spark.conf.get(partitionsKey)
-    spark.conf.set(partitionsKey, "1")
-  }
-
-  override def afterAll(): Unit = {
-    spark.conf.set(partitionsKey, savedPartitions)
-    super.afterAll()
-  }
+  override protected def settings: Seq[(String, String)] = Seq("spark.sql.shuffle.partitions" -> "1")
 
   private val caseGen: Gen[Case] = for {
     n <- Gen.choose(3, 12)
@@ -105,12 +86,8 @@ class FdKernelDifferentialSpec extends SparkSpec {
     cands.map { case (t, cs) => t -> (cs :+ chk(t).map(Row(_))) }
   }
 
-  /** Runs `check` on every seed, a few seeds at a time. */
-  private def forSeeds(check: Long => Unit): Unit =
-    Await.result(Future.traverse(seeds)(seed => Future(check(seed))), Duration.Inf)
-
   test("kernel clean_σ equals the DataFrame reference on 50 seeded tables") {
-    forSeeds { seed =>
+    forSeeds(seeds) { seed =>
       val (st, answer, fd, maxIter) = input(seed)
       val (refState, refRelaxed, refFixes) = FdReference.cleanSelectFd(st, answer, fd, maxIter)
       val out = CleanOps.cleanSelectFd(st, answer, fd, maxIter)
@@ -129,7 +106,7 @@ class FdKernelDifferentialSpec extends SparkSpec {
   }
 
   test("Lemma 1: rhs-filter fixes with maxIter = 1 equal those of the full closure") {
-    forSeeds { seed =>
+    forSeeds(seeds) { seed =>
       val (st, _, fd, _) = input(seed)
       val v = s"c${sample(caseGen, seed).value}"
       val answer = st.filter(ProbData.qualifies(st, Pred("c", "=", v))).select("__tid")
