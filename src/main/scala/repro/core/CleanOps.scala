@@ -82,11 +82,12 @@ object CleanOps {
       .union(probEquiJoin(left, rightExtra, leftKey, rightKey).select(cols: _*))
   }
 
-  private def renameRight(right: DataFrame, leftCols: Set[String]): DataFrame = {
-    var r = right.withColumnRenamed(tidC, "__rtid")
-      .withColumnRenamed(ProbData.ChkCol, "__rchk")
-    for (c <- r.columns if leftCols.contains(c))
-      r = r.withColumnRenamed(c, "r_" + c)
-    r
-  }
+  /** `right` with `__tid` and `__chk` renamed to `__rtid` and `__rchk`,
+    * then every column named like one of `leftCols` prefixed with `r_`.
+    */
+  private def renameRight(right: DataFrame, leftCols: Set[String]): DataFrame =
+    right.select(right.columns.toSeq.map { c =>
+      val n = if (c == tidC) "__rtid" else if (c == ProbData.ChkCol) "__rchk" else c
+      col(c).as(if (leftCols.contains(n)) "r_" + n else n)
+    }: _*)
 }

@@ -78,9 +78,6 @@ object CostModel {
       sumQ += qi; sumEps += epsi; nQueries += 1
     }
 
-    def cumulativeIncrementalCost: Double = cumInc
-    def queries: Int = nQueries
-
     /** §5.2.3 inequality: switch to cleaning the remaining dirty part
       * when the accumulated incremental cost exceeds the offline cost
       * of the workload executed so far.

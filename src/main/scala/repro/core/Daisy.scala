@@ -18,16 +18,6 @@ final case class DaisyOptions(
     /** Transitive-closure bound of Algorithm 1. */
     relaxMaxIter: Int = 20)
 
-/** Per-rule metrics of one executed query. */
-final case class RuleReport(table: String, ruleId: String, relaxedExtra: Long,
-                            iterations: Int, dirty: Long, skippedByPruning: Boolean,
-                            switchedToFull: Boolean,
-                            dcDecision: Option[ThetaJoin.Decision])
-
-/** Metrics of one executed query. */
-final case class ExecReport(plan: Planner.Plan, resultRows: Long,
-                            perRule: Seq[RuleReport])
-
 /** Daisy (§6): a query-driven cleaning session over Spark.
   *
   * Holds the gradually-cleaned probabilistic state of every relation.
@@ -59,7 +49,7 @@ final class Daisy(val spark: SparkSession,
   private val dcRecords = mutable.Map[(String, String), Daisy.DcRecord]()
 
   /** Metrics of the most recent [[execute]] call. */
-  var lastReport: ExecReport = ExecReport(Planner.Plan(QuerySpec("-"), Nil, Nil), 0, Nil)
+  var lastReport: ExecReport = new ExecReport(Planner.Plan(QuerySpec("-"), Nil, Nil), Nil, spark.emptyDataFrame)
 
   def state(table: String): DataFrame = states(table)
 
@@ -73,11 +63,12 @@ final class Daisy(val spark: SparkSession,
     Rule.requireExclusiveDcAttrs(rs)
     rules(table) = rs
     // Extend the state schema with the new rule's candidate sidecars.
-    var st = states(table)
-    for (a <- rule.attrs if !st.columns.contains(ProbData.candCol(a)))
-      st = st.withColumn(a, col(a).cast("string"))
-        .withColumn(ProbData.candCol(a), lit(null).cast(ProbData.CandType))
-    states(table) = st
+    val st = states(table)
+    val fresh = rule.attrs.distinct
+      .filter(a => st.columns.contains(a) && !st.columns.contains(ProbData.candCol(a)))
+    states(table) = st.select(
+      st.columns.toSeq.map(c => if (fresh.contains(c)) col(c).cast("string").as(c) else col(c)) ++
+        fresh.map(a => lit(null).cast(ProbData.CandType).as(ProbData.candCol(a))): _*)
   }
 
   // -------------------------------------------------------------------
@@ -99,10 +90,6 @@ final class Daisy(val spark: SparkSession,
       reports += runStep(q.table, step, ProbData.qualifiesAll(states(q.table), q.where), q.where)
 
     var result = states(q.table).filter(ProbData.qualifiesAll(states(q.table), q.where))
-    val aggregated = q.groupBy.nonEmpty || q.aggs.nonEmpty
-    // The row count of a join result that is neither re-joined nor
-    // aggregated: its lineage has one row per joined row.
-    var joinedRows: Option[Long] = None
 
     // --- join: clean_⋈ ---------------------------------------------
     for (j <- q.join) {
@@ -111,8 +98,8 @@ final class Daisy(val spark: SparkSession,
       def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
       val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).materialized
       // The joined rows' right tuples with their checked marks, collected once.
-      lazy val lineage = joined.select("__rtid", "__rchk").collect()
-      lazy val rightChk = lineage.map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
+      lazy val rightChk = joined.select("__rtid", "__rchk").collect()
+        .map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
       lazy val rightQual = col(tidC).isin(rightChk.keys.toSeq: _*)
       val ran = plan.steps.filter(_.isJoinSide).map(step => step.rule -> runStep(j.rightTable, step, rightQual))
       reports ++= ran.map(_._2)
@@ -124,15 +111,14 @@ final class Daisy(val spark: SparkSession,
         val unmarked = rightChk.collect { case (t, chk) if !chk.contains(rule.id) => t }
         ProbData.checkedBy(rule.id) && col(tidC).isin(unmarked.toSeq: _*)
       }
-      if (rules.isEmpty) {
-        result = joined
-        if (!aggregated) joinedRows = Some(lineage.length.toLong)
-      } else result = CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
-        j.leftKey, j.rightKey).materialized
+      result =
+        if (rules.isEmpty) joined
+        else CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
+          j.leftKey, j.rightKey).materialized
     }
 
     // --- aggregation (cleaning already pushed below it) ------------
-    if (aggregated) {
+    if (q.groupBy.nonEmpty || q.aggs.nonEmpty) {
       val aggCols = q.aggs.map { a =>
         val c = col(a.col).cast("double")
         (a.func match {
@@ -151,8 +137,7 @@ final class Daisy(val spark: SparkSession,
       result = result.select((lineage ++ withCands).distinct.map(col): _*)
     }
 
-    val rows = joinedRows.getOrElse(result.count())
-    lastReport = ExecReport(plan, rows, reports.toSeq)
+    lastReport = new ExecReport(plan, reports.toSeq, result)
     result
   }
 
@@ -229,14 +214,19 @@ final class Daisy(val spark: SparkSession,
   /** `clean_σ` of `dc` over the tuples satisfying `answer` (§4.2). One
     * collection of the answer's tids gives Algorithm 2 its inputs (their
     * buckets come from the rule's points) and the answer's tuples the
-    * rule has not seen; the decision comes first, then one driver-side
+    * rule has not seen; on the rule's first use the same collection
+    * bucketizes the table. The decision comes first, then one driver-side
     * detection: over the whole matrix when it is full cleaning, else over
     * the pairs with a newly seen tuple.
     */
   private def cleanSelectDc(table: String, dc: InequalityDc, answer: Column): RuleReport = {
-    val rec = dcRecord(table, dc)
-    val tuples = states(table).filter(answer).select(col(tidC)).collect().toSeq
-      .map(r => (r.getLong(0), rec.buck.bucketOfTid.get(r.getLong(0))))
+    val (rec, answerTids) = dcRecords.get((table, dc.id)) match {
+      case Some(r) => (r, states(table).filter(answer).select(col(tidC)).collect().toSeq.map(_.getLong(0)))
+      case None =>
+        val (b, tids) = ThetaJoin.bucketizeWithAnswer(states(table), dc, opts.dcPartitions, answer)
+        (Daisy.DcRecord(b, dc), tids)
+    }
+    val tuples = answerTids.map(t => (t, rec.buck.bucketOfTid.get(t)))
     val fresh = tuples.collect { case (t, Some(b)) if !rec.seen(t, b) => (t, b) }
     val now = rec.see(fresh)
     val decision = ThetaJoin.decide(dc, rec.buck.stats, tuples.flatMap(_._2).toSet,
@@ -249,12 +239,6 @@ final class Daisy(val spark: SparkSession,
     RuleReport(table, dc.id, 0, 1, after.touched, skippedByPruning = false,
       decision.fullCleaning, Some(decision))
   }
-
-  private def dcRecord(table: String, dc: InequalityDc): Daisy.DcRecord =
-    dcRecords.getOrElse((table, dc.id), {
-      val b = ThetaJoin.bucketize(states(table), dc, opts.dcPartitions)
-      Daisy.DcRecord(b, ThetaJoin.candidatePairs(dc, b.stats))
-    })
 
   /** Detects the violations among the pairs of `rec`'s matrix whose
     * tuples are not both `seen` (all of them when nothing is seen), adds
@@ -285,7 +269,9 @@ final class Daisy(val spark: SparkSession,
     for (r <- rules.getOrElse(table, Nil)) r match {
       case fd: Fd => fullCleanRemaining(table, fd)
       case dc: InequalityDc =>
-        dcRecords((table, dc.id)) = cleanDc(table, dc, dcRecord(table, dc).complete, _ => false)
+        val rec = dcRecords.getOrElse((table, dc.id),
+          Daisy.DcRecord(ThetaJoin.bucketize(states(table), dc, opts.dcPartitions), dc))
+        dcRecords((table, dc.id)) = cleanDc(table, dc, rec.complete, _ => false)
     }
   }
 }
@@ -319,6 +305,12 @@ object Daisy {
 
     /** Bucket pairs fully compared so far: those touching a full bucket. */
     def checkedPairs: Set[(Int, Int)] = pairs.filter { case (i, j) => full(i) || full(j) }.toSet
+  }
+
+  private[core] object DcRecord {
+    /** The record of `dc` before it has seen a tuple. */
+    def apply(buck: ThetaJoin.Bucketized, dc: InequalityDc): DcRecord =
+      DcRecord(buck, ThetaJoin.candidatePairs(dc, buck.stats))
   }
 
   /** Session over one table. */

@@ -73,11 +73,11 @@ object ProbData {
     require(df.columns.contains(TidCol),
       s"the relation has no tuple-id column '$TidCol'; add a stable long id per row")
     val ruleAttrs = rules.flatMap(_.attrs).distinct.filter(df.columns.contains)
-    var out = df
-    for (a <- ruleAttrs)
-      out = out.withColumn(a, col(a).cast(StringType))
-        .withColumn(candCol(a), lit(null).cast(CandType))
-    out.withColumn(ChkCol, array().cast(ArrayType(StringType)))
+    val added = ruleAttrs.map(a => candCol(a) -> lit(null).cast(CandType)) :+
+      (ChkCol -> array().cast(ArrayType(StringType)))
+    val replaced = ruleAttrs.map(a => a -> col(a).cast(StringType)).toMap ++ added
+    df.select(df.columns.toSeq.map(c => replaced.get(c).fold(col(c))(_.as(c))) ++
+      added.collect { case (c, e) if !df.columns.contains(c) => e.as(c) }: _*)
   }
 
   /** Column of candidate *equality* values of `attr` as an array —

@@ -20,10 +20,11 @@ import scala.jdk.CollectionConverters._
   * side to the axis range that can violate with its partner keeps the
   * whole bucket, and pruning on the other atoms' bounds is not done.
   *
-  * [[bucketize]] collects the DC attributes of every tuple with a
-  * non-null axis value to the driver in one Spark job; the matrix is
-  * then joined on the driver ([[violationsOf]]), so the driver holds
-  * one [[Point]] per such tuple plus the violation pairs found.
+  * [[bucketize]] collects the DC attributes of every tuple to the
+  * driver in one Spark job (with an answer flag for
+  * [[bucketizeWithAnswer]]); the matrix is then joined on the driver
+  * ([[violationsOf]]), so the driver holds one [[Point]] per tuple with
+  * a non-null axis value plus the violation pairs found.
   * Violations are reported as *unordered* tid pairs (tid1 < tid2) with
   * the orientation that violates recorded, so each conflicting pair is
   * found exactly once. Values compare as Spark SQL compares doubles.
@@ -90,19 +91,28 @@ object ThetaJoin {
   /** Splits the dataset into √p equi-width ranges on the first atom's
     * attribute (the matrix axis) and collects per-bucket boundaries of
     * every DC attribute, from one collection of the DC attributes of
-    * the tuples whose axis value is not null. A tuple whose axis value
-    * is null cannot satisfy the first atom, so it gets no bucket (`__b`
-    * null) and no point; an empty table or an all-null axis gives no
-    * buckets at all. A bucket without a value of an attribute gets the
+    * every tuple. A tuple whose axis value is null cannot satisfy the
+    * first atom, so it gets no bucket (`__b` null) and no point; an
+    * empty table or an all-null axis gives no buckets at all. A bucket without a value of an attribute gets the
     * bounds (0, 0) for it; none of its tuples can violate, so they only
     * feed Algorithm 2's estimate.
     */
-  def bucketize(df: DataFrame, dc: InequalityDc, p: Int): Bucketized = {
+  def bucketize(df: DataFrame, dc: InequalityDc, p: Int): Bucketized =
+    bucketizeWithAnswer(df, dc, p, lit(false))._1
+
+  /** [[bucketize]] and the tids of the tuples satisfying `answer`, from
+    * one collection of (tid, DC attributes, answer flag) over the whole
+    * relation. The answer keeps its tuples with a null axis value: they
+    * have no point, but they count in the answer's size.
+    */
+  def bucketizeWithAnswer(df: DataFrame, dc: InequalityDc, p: Int,
+                          answer: Column): (Bucketized, Seq[Long]) = {
     val axis = dc.atoms.head.attr
     val nAttrs = dc.attrs.size
     val nRanges = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
-    val rows = df.filter(col(axis).cast("double").isNotNull)
-      .select(col(tidC) +: attrCols(dc): _*).collect()
+    val collected = df.select((col(tidC) +: attrCols(dc)) :+ coalesce(answer, lit(false)): _*).collect()
+    val answerTids = collected.toSeq.collect { case r if r.getBoolean(1 + nAttrs) => r.getLong(0) }
+    val rows = collected.filter(r => !r.isNullAt(1 + dc.attrs.indexOf(axis)))
     val vals = rows.map(valuesOf(_, 1, nAttrs))
     val axisVals = vals.map(_(dc.attrs.indexOf(axis)).get)
     val (lo, hi) = if (rows.isEmpty) (0.0, 0.0) else (axisVals.min(sqlOrder), axisVals.max(sqlOrder))
@@ -116,7 +126,7 @@ object ThetaJoin {
           dc.attrs(k) -> (if (xs.isEmpty) (0.0, 0.0) else (xs.min(sqlOrder), xs.max(sqlOrder)))
         }.toMap)
     }
-    shape.copy(data = df.withColumn("__b", shape.bucket), stats = stats, points = points)
+    (shape.copy(data = df.withColumn("__b", shape.bucket), stats = stats, points = points), answerTids)
   }
 
   /** True iff atom `t1.a op t2.a` can hold between value intervals

@@ -26,11 +26,11 @@ object Workloads {
         select = (ruleAttrs ++ Seq("provider_id")).distinct)
     }
 
-  /** Runs a workload through a Daisy session, forcing each result, and
-    * returns the total wall time in seconds.
+  /** Runs a workload through a Daisy session, collecting each result
+    * before the next query, and returns the total wall time in seconds.
     */
   def runWorkload(daisy: Daisy, queries: Seq[QuerySpec]): Double = {
-    val (_, secs) = timed { queries.foreach(q => daisy.execute(q)) }
+    val (_, secs) = timed { queries.foreach(q => daisy.execute(q).collect()) }
     secs
   }
 

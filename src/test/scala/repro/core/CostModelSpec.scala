@@ -52,10 +52,17 @@ class CostModelSpec extends SparkSpec {
   }
 
   test("tracker accumulates and does not switch on a cheap workload") {
-    val tr = new CostModel.Tracker(stats)
-    tr.register(2, 1, 3)
-    assert(tr.queries == 1 && tr.cumulativeIncrementalCost > 0)
-    assert(!tr.shouldSwitchToFull)
+    // After one registered query the switch holds exactly when that
+    // query's cost exceeds the offline cost of one query: a cheap query
+    // stays below it, one that re-pays the whole update crosses it.
+    val switches = Seq((2L, 1L, 3L), (1L, stats.n, stats.epsilon)).map { case (qi, ei, epsi) =>
+      val tr = new CostModel.Tracker(stats)
+      tr.register(qi, ei, epsi)
+      assert(tr.shouldSwitchToFull ==
+        (CostModel.incrementalQueryCost(stats, qi, ei, epsi, 0, 0) > CostModel.offlineCost(stats, 1)))
+      tr.shouldSwitchToFull
+    }
+    assert(switches == Seq(false, true))
   }
 
   test("tracker switches when repeated expensive queries exceed the offline bound") {

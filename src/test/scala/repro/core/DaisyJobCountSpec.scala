@@ -7,20 +7,21 @@ import repro.SparkSpec
 import repro.data.{Hospital, SSB}
 import repro.offline.OfflineCleaner
 
-/** Spark jobs per `Daisy.execute`. On the FD clean path: one signature
-  * collection, the broadcast of the fix table, one materialized state
-  * rewrite and the result count for a cleaned query; the collection and
-  * the count for a pruned one. On the DC path: the bucketization on the
-  * rule's first use (one collection of its points), one collection of
-  * the answer's tids, the broadcast of the fix table and one
-  * materialized state rewrite (detection and repair run on the driver),
-  * and the result count; a query whose detection finds no new pair
-  * rewrites nothing.
+/** Spark jobs per `Daisy.execute`, which runs only the jobs of the
+  * cleaning and of a materialized join: it leaves the result to the
+  * caller and counts it only when `ExecReport.resultRows` is read (one
+  * job). On the FD clean path: one signature collection, the broadcast
+  * of the fix table and one materialized state rewrite for a cleaned
+  * query; the collection alone for a pruned one. On the DC path: one
+  * collection of the answer's tids, which on the rule's first use also
+  * carries the DC attributes of every tuple for the bucketization, then
+  * the broadcast of the fix table and one materialized state rewrite
+  * (detection and repair run on the driver); a query whose detection
+  * finds no new pair rewrites nothing.
   * An SPJ query runs the materialized join (its right part broadcast,
   * one job), the collection of its lineage (the right tids with their
   * checked marks) and the join-side steps, and re-joins the right tuples
-  * once only when a join-side step was not pruned; without a re-join or
-  * an aggregate the lineage gives the row count. Its joins run no
+  * once only when a join-side step was not pruned. Its joins run no
   * shuffle, so the SPJ tests bound stages too.
   * The offline cleaner's per-group mode runs one signature collection
   * per dirty group plus a constant (the initial materialization, the
@@ -53,7 +54,7 @@ class DaisyJobCountSpec extends SparkSpec {
 
   private def jobsOf[A](f: => A): (A, Int) = { val (a, jobs, _) = countsOf(f); (a, jobs) }
 
-  test("φ1 on a small hospital table: a cleaned query runs ≤ 5 jobs, a pruned one ≤ 2") {
+  test("φ1 on a small hospital table: a cleaned query runs ≤ 3 jobs, a pruned one ≤ 1") {
     val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
       nTie = 4, nMinority = 4, nZipErr = 4)
     val daisy = Daisy.single(spark, "hospital", data.dirty, Seq(Hospital.Phi1))
@@ -63,12 +64,12 @@ class DaisyJobCountSpec extends SparkSpec {
       where = Seq(Pred("hospital_type", "!=", "type_1")), select = select)))
     val first = daisy.lastReport.perRule.head
     assert(!first.skippedByPruning && first.iterations > 1)
-    assert(cleaned <= 5, s"cleaned query ran $cleaned jobs")
+    assert(cleaned <= 3, s"cleaned query ran $cleaned jobs")
 
     val (_, pruned) = jobsOf(daisy.execute(QuerySpec("hospital",
       where = Seq(Pred("hospital_type", "=", "type_1")), select = select)))
     assert(daisy.lastReport.perRule.head.skippedByPruning)
-    assert(pruned <= 2, s"pruned query ran $pruned jobs")
+    assert(pruned <= 1, s"pruned query ran $pruned jobs")
   }
 
   test("price/discount DC on a small lineorder table: one detection per cleaned query") {
@@ -84,19 +85,19 @@ class DaisyJobCountSpec extends SparkSpec {
     val daisy = Daisy.single(spark, "lo", data.dirty, Seq(dc))
     val (_, full) = jobsOf(daisy.execute(band(23400)))
     assert(daisy.lastReport.perRule.head.switchedToFull)
-    assert(full <= 5, s"full-cleaning query ran $full jobs")
+    assert(full <= 3, s"full-cleaning query ran $full jobs")
     val (_, afterFull) = jobsOf(daisy.execute(band(45900)))
     assert(!daisy.lastReport.perRule.head.switchedToFull)
-    assert(afterFull <= 2, s"query after full cleaning ran $afterFull jobs")
+    assert(afterFull <= 1, s"query after full cleaning ran $afterFull jobs")
 
-    // Partial cleaning: the first query also bucketizes, the second
-    // detects over its new tuples only.
+    // Partial cleaning: the first query's collection also bucketizes,
+    // the second query detects over its new tuples only.
     val partial = Daisy.single(spark, "lo", data.dirty, Seq(dc), DaisyOptions(dcThreshold = 1.1))
     val (_, first) = jobsOf(partial.execute(band(23400)))
-    assert(first <= 5, s"first partial query ran $first jobs")
+    assert(first <= 3, s"first partial query ran $first jobs")
     val (_, second) = jobsOf(partial.execute(band(45900)))
     assert(partial.lastReport.perRule.head.dirty > 0)
-    assert(second <= 4, s"second partial query ran $second jobs")
+    assert(second <= 3, s"second partial query ran $second jobs")
   }
 
   test("offline cleaning of a DC runs four jobs") {
@@ -130,8 +131,45 @@ class DaisyJobCountSpec extends SparkSpec {
       join = Some(JoinSpec("emp", "zip", "ezip")))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
     assert(d.lastReport.resultRows == 4)
-    assert(jobs <= 13, s"SPJ query that re-joins ran $jobs jobs")
-    assert(stages <= 14, s"SPJ query that re-joins ran $stages stages")
+    assert(jobs <= 12, s"SPJ query that re-joins ran $jobs jobs")
+    assert(stages <= 12, s"SPJ query that re-joins ran $stages stages")
+  }
+
+  test("resultRows counts each query's own result in one job, on first read") {
+    val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
+      nTie = 4, nMinority = 4, nZipErr = 4)
+    val hospital = Daisy.single(spark, "hospital", data.dirty, Seq(Hospital.Phi1))
+    val select = Seq("zip", "city", "provider_id")
+    def joins(rules: Map[String, Seq[Rule]]) = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)), rules)
+    // (shape, session, query, whether its rule steps are pruned)
+    val shapes = Seq(
+      ("cleaned SP", hospital, QuerySpec("hospital",
+        where = Seq(Pred("hospital_type", "!=", "type_1")), select = select), Seq(false)),
+      ("pruned SP", hospital, QuerySpec("hospital",
+        where = Seq(Pred("hospital_type", "=", "type_1")), select = select), Seq(true)),
+      ("group-by", hospital, QuerySpec("hospital", groupBy = Seq("city"),
+        aggs = Seq(Agg("count", "provider_id", "n"))), Seq(true)),
+      ("SPJ without a re-join", joins(Map("emp" -> Seq(TestData.empFd))), QuerySpec("cities",
+        select = Seq("city", "ename"),
+        join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter"))))), Seq(true)),
+      ("SPJ with a re-join", joins(Map("cities" -> Seq(TestData.cityFd), "emp" -> Seq(TestData.empFd))),
+        QuerySpec("cities", where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename"),
+          join = Some(JoinSpec("emp", "zip", "ezip"))), Seq(false, false)))
+    val runs = shapes.map { case (shape, d, q, pruned) =>
+      val res = d.execute(q)
+      assert(d.lastReport.perRule.map(_.skippedByPruning) == pruned, shape)
+      (shape, d.lastReport, res.count())
+    }
+    // Every report is read after all five queries ran: each hospital
+    // report after the later queries of its own session.
+    for ((shape, report, expected) <- runs) {
+      val (rows, jobs) = jobsOf(report.resultRows)
+      assert(rows == expected, shape)
+      assert(jobs == 1, s"$shape: reading resultRows ran $jobs jobs")
+      assert(jobsOf(report.resultRows) == (expected, 0), s"$shape: a second read")
+    }
+    assert(runs.map(_._3).distinct.size == runs.size, "the shapes' counts must tell them apart")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {

@@ -342,4 +342,31 @@ class DaisySpec extends SparkSpec {
         ProbData.checkedBy(TestData.salaryDc.id)).count() == 0)
     }
   }
+
+  test("a DC rule's first query counts an answer tuple with a null axis value in Algorithm 2") {
+    // Example 5's DC on four tuples in two axis buckets and a tuple
+    // without a salary, the matrix axis. The query selects tids 2 and 5
+    // by age: tuple 5 has no bucket and no point, yet it is in the
+    // answer, so Algorithm 2's qaSize is 2, not 1.
+    val df = spark.createDataFrame(Seq((1L, Option(1000.0), 0.4, 31), (2L, Some(1500.0), 0.1, 45),
+      (3L, Some(2500.0), 0.3, 33), (4L, Some(3000.0), 0.2, 34), (5L, None, 0.25, 50)))
+      .toDF("__tid", "salary", "tax", "age")
+    val d = Daisy.single(spark, "sal", df, Seq(TestData.salaryDc),
+      DaisyOptions(dcPartitions = 4, dcThreshold = 0.6))
+    val res = d.execute(QuerySpec("sal", where = Seq(Pred("age", ">=", "40")),
+      select = Seq("salary", "tax")))
+    assert(TestData.tids(res) == Seq(2L, 5L))
+    val dec = d.lastReport.perRule.head.dcDecision.get
+    val checked = TestData.tids(d.state("sal").filter(ProbData.checkedBy(TestData.salaryDc.id)))
+    val state = canon(d.state("sal"), Seq("salary", "tax"))
+    // The one-collection first use must decide and clean as the former
+    // two collections (the bucketization, then the answer's tids) did on
+    // these inputs. With qaSize 1 the error share would be 2.25 / 3.25,
+    // above the threshold, and the query would clean fully.
+    assert(dec.errShare == dec.estErrorsOutside / (2 + dec.estErrorsOutside), s"decision $dec")
+    assert(dec == ThetaJoin.Decision(2.2500000000000004, 0.5294117647058825, 0.0, fullCleaning = false))
+    assert(checked == Seq(1L, 2L))
+    assert(state == Seq("1|1000.0@0.50|>1500.0@0.50|<0.1@0.50|0.4@0.50",
+      "2|<1000.0@0.50|1500.0@0.50|0.1@0.50|>0.4@0.50", "3|2500.0|0.3", "4|3000.0|0.2", "5|null|0.25"))
+  }
 }
