@@ -12,9 +12,8 @@ class Table5AccuracyBench extends AnyFunSuite {
 
   test("Table 5: accuracy by rule set") {
     val spark = SparkSpec.shared
-    val rows = Table5.run(spark, nHospitals = 125, rowsPer = 8)
-    println("\n=== Table 5: Accuracy (measured vs paper) ===")
-    println(Table5.render(rows))
+    val rows = Table5.run(spark, nHospitals = 125)
+    println("\n" + Table5.report(rows))
 
     def row(sys: String, rs: String) = rows.find(r => r.system == sys && r.ruleSet == rs).get
 

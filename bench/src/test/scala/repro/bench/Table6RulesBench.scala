@@ -14,8 +14,7 @@ class Table6RulesBench extends AnyFunSuite {
     val spark = SparkSpec.shared
     val nH = sys.env.getOrElse("BENCH_HOSPITALS", "800").toInt
     val rows = Table6.run(spark, nHospitals = nH, rowsPer = 12)
-    println("\n=== Table 6: Response time vs number of rules (measured vs paper) ===")
-    println(Table6.render(rows))
+    println("\n" + Table6.report(rows))
 
     def secs(sys: String, rs: String) =
       rows.find(r => r.system == sys && r.ruleSet == rs).get.seconds

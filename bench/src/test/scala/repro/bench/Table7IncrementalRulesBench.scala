@@ -14,8 +14,7 @@ class Table7IncrementalRulesBench extends AnyFunSuite {
     val spark = SparkSpec.shared
     val nH = sys.env.getOrElse("BENCH_HOSPITALS", "800").toInt
     val rows = Table7.run(spark, nHospitals = nH, rowsPer = 12)
-    println("\n=== Table 7: Incremental rules (measured vs paper) ===")
-    println(Table7.render(rows))
+    println("\n" + Table7.report(rows))
 
     def secs(sys: String, step: String) =
       rows.find(r => r.system == sys && r.step == step).get.seconds

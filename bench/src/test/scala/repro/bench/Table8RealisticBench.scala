@@ -13,14 +13,14 @@ class Table8RealisticBench extends AnyFunSuite {
 
   test("Table 8: realistic scenarios") {
     val spark = SparkSpec.shared
+    val d = Table8.Sizes()
     val sizes = Table8.Sizes(
-      nestleSmall = sys.env.getOrElse("BENCH_NESTLE_SMALL", "60000").toLong,
+      nestleSmall = sys.env.get("BENCH_NESTLE_SMALL").fold(d.nestleSmall)(_.toLong),
       nestleLarge = sys.env.getOrElse("BENCH_NESTLE_LARGE", "300000").toLong,
       airRows = sys.env.getOrElse("BENCH_AIR_ROWS", "120000").toLong,
-      offlineTimeoutSec = sys.env.getOrElse("BENCH_OFFLINE_TIMEOUT", "240").toDouble)
+      offlineTimeoutSec = sys.env.get("BENCH_OFFLINE_TIMEOUT").fold(d.offlineTimeoutSec)(_.toDouble))
     val rows = Table8.run(spark, sizes)
-    println("\n=== Table 8: Realistic scenarios (measured vs paper) ===")
-    println(Table8.render(rows))
+    println("\n" + Table8.report(rows))
 
     val byDs = rows.map(r => r.dataset -> r).toMap
 

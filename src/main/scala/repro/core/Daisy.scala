@@ -55,8 +55,8 @@ final class Daisy(val spark: SparkSession,
 
   /** Registers a new rule discovered during exploration; it will be
     * evaluated over the original (provenance) values of the table on
-    * the next query / [[cleanTableFully]] and merged into the existing
-    * probabilistic state (§4.3, Table 7).
+    * the next query and merged into the existing probabilistic state
+    * (§4.3, Table 7).
     */
   def addRule(table: String, rule: Rule): Unit = {
     val rs = rules.getOrElse(table, Nil) :+ rule
@@ -255,23 +255,6 @@ final class Daisy(val spark: SparkSession,
       val (st, touched) = DcRepair.clean(states(table), vios.values, dc, opts.maxFixAtoms)
       states(table) = st
       rec.copy(vios = vios, touched = touched)
-    }
-  }
-
-  // -------------------------------------------------------------------
-  // Whole-table cleaning (used by the Table 6/7 whole-dataset workloads)
-  // -------------------------------------------------------------------
-
-  /** Applies every registered rule of `table` to its remaining dirty
-    * part — the degenerate query that accesses the whole dataset.
-    */
-  def cleanTableFully(table: String): Unit = {
-    for (r <- rules.getOrElse(table, Nil)) r match {
-      case fd: Fd => fullCleanRemaining(table, fd)
-      case dc: InequalityDc =>
-        val rec = dcRecords.getOrElse((table, dc.id),
-          Daisy.DcRecord(ThetaJoin.bucketize(states(table), dc, opts.dcPartitions), dc))
-        dcRecords((table, dc.id)) = cleanDc(table, dc, rec.complete, _ => false)
     }
   }
 }

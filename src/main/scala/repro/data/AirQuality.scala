@@ -18,8 +18,6 @@ object AirQuality {
 
   val Phi: Fd = Fd("aq_fd", Seq("county_code", "state_code"), "county_name")
 
-  final case class Data(dirty: DataFrame, clean: DataFrame, errors: DataFrame)
-
   /** `nRows` hourly measurements over `nCounties` counties; county row
     * counts are skewed (first counties are frequent). Counties whose
     * index ≥ `nCounties * (1 - violationShare)` — the non-frequent

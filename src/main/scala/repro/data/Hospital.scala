@@ -35,12 +35,8 @@ object Hospital {
   val Phi3: Fd = Fd("phi3", "phone", "zip")
   val Rules: Seq[Fd] = Seq(Phi1, Phi2, Phi3)
 
-  /** dirty: the dataset with injected errors; clean: ground truth with
-    * identical tids; errors: (tid, attr, truth, dirty) per injected cell.
-    */
-  final case class Data(dirty: DataFrame, clean: DataFrame, errors: DataFrame)
-
-  /** Generates `nHospitals` hospitals × `rowsPer` measure rows.
+  /** Generates `nHospitals` hospitals × `rowsPer` measure rows; the
+    * errors are (tid, attr, truth, dirty) per injected cell.
     *
     * Error populations (by hospital index): the first `nTie` hospitals
     * carry tie city errors, the next `nMinority` carry minority city

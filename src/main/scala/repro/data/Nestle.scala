@@ -20,8 +20,6 @@ object Nestle {
 
   val Phi: Fd = Fd("nestle_fd", "material", "category")
 
-  final case class Data(dirty: DataFrame, clean: DataFrame, errors: DataFrame)
-
   /** `nRows` products over `nMaterials` materials and `nCategories`
     * categories; `dirtyMaterialPct` of the materials get ~10% of their
     * rows' category replaced with the next category value.

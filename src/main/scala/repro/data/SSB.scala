@@ -23,8 +23,6 @@ object SSB {
   val PriceDiscountDc: InequalityDc =
     InequalityDc("ssb_dc", Seq(Atom("extendedprice", "<"), Atom("discount", ">")))
 
-  final case class Data(dirty: DataFrame, clean: DataFrame, errors: DataFrame)
-
   /** lineorder with `nRows` rows over `nOrderkeys` orders and
     * `nSuppkeys` suppliers; `errOrderPct` of the orderkeys contain an
     * edited suppkey on ~10% of their rows.

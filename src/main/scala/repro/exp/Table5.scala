@@ -2,80 +2,64 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.data.Hospital
 import repro.holoclean.HolocleanLite
 import repro.core.ProbData.MaterializeOps
 
 /** Table 5 (§7.3): precision / recall / F1 of HoloClean, DaisyH and
-  * DaisyP on the hospital dataset for the rule sets {φ1}, {φ1,φ2},
-  * {φ1,φ2,φ3}. Daisy cleans the dataset through the 4-query
-  * whole-dataset workload; accuracy is measured against the injected
-  * ground truth.
+  * DaisyP on the hospital dataset (8 rows per hospital) for the rule
+  * sets {φ1}, {φ1,φ2}, {φ1,φ2,φ3}. Daisy cleans the dataset through the
+  * 4-query whole-dataset workload; accuracy is measured against the
+  * injected ground truth.
+  *
+  * Usage: `spark-submit --class repro.exp.Table5 … [nHospitals=125]`
   */
 object Table5 {
 
   final case class Row(system: String, ruleSet: String,
                        precision: Double, recall: Double, f1: Double)
 
-  /** Paper numbers for side-by-side printing. */
-  val paper: Seq[Row] = Seq(
-    Row("Holoclean", "phi1", 1.00, 0.55, 0.71),
-    Row("Holoclean", "phi1+phi2", 0.98, 0.95, 0.96),
-    Row("Holoclean", "phi1+phi2+phi3", 0.98, 0.92, 0.95),
-    Row("DaisyH", "phi1", 0.97, 0.52, 0.68),
-    Row("DaisyH", "phi1+phi2", 1.00, 0.98, 0.99),
-    Row("DaisyH", "phi1+phi2+phi3", 1.00, 0.98, 0.99),
-    Row("DaisyP", "phi1", 0.41, 0.51, 0.45),
-    Row("DaisyP", "phi1+phi2", 1.00, 0.97, 0.98),
-    Row("DaisyP", "phi1+phi2+phi3", 1.00, 0.98, 0.99),
+  /** Paper figures (precision/recall/F1) by (system, rule set). */
+  val paper: Map[Seq[String], String] = Map(
+    Seq("Holoclean", "phi1") -> "1.00/0.55/0.71",
+    Seq("Holoclean", "phi1+phi2") -> "0.98/0.95/0.96",
+    Seq("Holoclean", "phi1+phi2+phi3") -> "0.98/0.92/0.95",
+    Seq("DaisyH", "phi1") -> "0.97/0.52/0.68",
+    Seq("DaisyH", "phi1+phi2") -> "1.00/0.98/0.99",
+    Seq("DaisyH", "phi1+phi2+phi3") -> "1.00/0.98/0.99",
+    Seq("DaisyP", "phi1") -> "0.41/0.51/0.45",
+    Seq("DaisyP", "phi1+phi2") -> "1.00/0.97/0.98",
+    Seq("DaisyP", "phi1+phi2+phi3") -> "1.00/0.98/0.99",
   )
 
-  val ruleSets: Seq[(String, Seq[Fd])] = Seq(
-    "phi1" -> Seq(Hospital.Phi1),
-    "phi1+phi2" -> Seq(Hospital.Phi1, Hospital.Phi2),
-    "phi1+phi2+phi3" -> Seq(Hospital.Phi1, Hospital.Phi2, Hospital.Phi3),
-  )
-
-  def run(spark: SparkSession, nHospitals: Int = 125, rowsPer: Int = 8): Seq[Row] = {
-    val data = Hospital.generate(spark, nHospitals, rowsPer,
-      nTie = nHospitals / 10, nMinority = nHospitals / 8, nZipErr = nHospitals / 8)
-    val dirty = data.dirty.materialized
+  def run(spark: SparkSession, nHospitals: Int): Seq[Row] = {
+    val data = Workloads.hospital(spark, nHospitals, rowsPer = 8)
+    val dirty = data.dirty
     val errors = data.errors.materialized
 
-    ruleSets.flatMap { case (name, fds) =>
+    Workloads.hospitalRuleSets.flatMap { case (name, fds) =>
       // Daisy cleans through the query workload.
+      val attrs = fds.flatMap(_.attrs).distinct
       val daisy = Daisy.single(spark, "hospital", dirty, fds)
-      Workloads.hospitalWorkload(fds.flatMap(_.attrs).distinct)
-        .foreach(daisy.execute)
-      val domains = HolocleanLite.daisyDomains(
-        daisy.state("hospital"), fds.flatMap(_.attrs).distinct).materialized
+      Workloads.hospitalWorkload(attrs).foreach(daisy.execute)
+      val domains = HolocleanLite.daisyDomains(daisy.state("hospital"), attrs).materialized
 
       val hc = HolocleanLite.run(dirty, fds)
       val dh = HolocleanLite.runDaisyH(dirty, domains, fds)
       val dp = HolocleanLite.daisyP(domains)
 
-      def m(r: HolocleanLite.Repairs) = HolocleanLite.accuracy(r.updates, errors)
-      Seq(
-        toRow("Holoclean", name, m(hc)),
-        toRow("DaisyH", name, m(dh)),
-        toRow("DaisyP", name, m(dp)),
-      )
+      Seq("Holoclean" -> hc, "DaisyH" -> dh, "DaisyP" -> dp).map { case (sys, r) =>
+        val m = HolocleanLite.accuracy(r.updates, errors)
+        Row(sys, name, round2(m.precision), round2(m.recall), round2(m.f1))
+      }
     }
   }
-
-  private def toRow(sys: String, rs: String, m: HolocleanLite.Metrics): Row =
-    Row(sys, rs, round2(m.precision), round2(m.recall), round2(m.f1))
 
   private def round2(d: Double): Double = math.rint(d * 100) / 100
 
-  def render(measured: Seq[Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"system"}%-10s ${"rules"}%-15s ${"prec"}%6s ${"rec"}%6s ${"F1"}%6s   (paper: prec/rec/F1)\n")
-    for (r <- measured) {
-      val p = paper.find(x => x.system == r.system && x.ruleSet == r.ruleSet)
-      sb.append(f"${r.system}%-10s ${r.ruleSet}%-15s ${r.precision}%6.2f ${r.recall}%6.2f ${r.f1}%6.2f   " +
-        p.map(x => f"(${x.precision}%4.2f/${x.recall}%4.2f/${x.f1}%4.2f)").getOrElse("") + "\n")
-    }
-    sb.toString
-  }
+  def report(rows: Seq[Row]): String =
+    Report.render("Table 5: Accuracy", Seq("system", "rules", "prec", "rec", "F1"), paper,
+      rows.map(r => (Seq(r.system, r.ruleSet), Seq(r.precision, r.recall, r.f1).map(x => f"$x%.2f"))))
+
+  def main(args: Array[String]): Unit =
+    Report.main("daisy-table5", args)((spark, arg) => report(run(spark, arg(0, 125))))
 }

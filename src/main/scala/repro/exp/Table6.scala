@@ -1,11 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core._
-import repro.data.Hospital
-import repro.holoclean.HolocleanLite
 import repro.offline.OfflineCleaner
-import repro.core.ProbData.MaterializeOps
 
 /** Table 6 (§7.3): response time of full cleaning, Daisy and HoloClean
   * on the hospital dataset when the number of rules grows. The
@@ -13,53 +9,39 @@ import repro.core.ProbData.MaterializeOps
   * approaches the offline cost (its win comes from merged correlated-
   * tuple handling), while HoloClean pays its per-attribute-pair domain
   * construction and inference sweeps.
+  *
+  * Usage: `spark-submit --class repro.exp.Table6 … [nHospitals=4000] [rowsPerHospital=25]`
   */
 object Table6 {
 
   final case class Row(system: String, ruleSet: String, seconds: Double)
 
-  /** Paper numbers (seconds, hospital 100K). */
-  val paper: Seq[Row] = Seq(
-    Row("Full cleaning", "phi1", 51), Row("Full cleaning", "phi1+phi2", 49),
-    Row("Full cleaning", "phi1+phi2+phi3", 118),
-    Row("Daisy", "phi1", 49), Row("Daisy", "phi1+phi2", 40),
-    Row("Daisy", "phi1+phi2+phi3", 92),
-    Row("Holoclean", "phi1", 1020), Row("Holoclean", "phi1+phi2", 1108),
-    Row("Holoclean", "phi1+phi2+phi3", 1188),
+  /** Paper figures (seconds, hospital 100K) by (system, rule set). */
+  val paper: Map[Seq[String], String] = Map(
+    Seq("Full cleaning", "phi1") -> "51", Seq("Full cleaning", "phi1+phi2") -> "49",
+    Seq("Full cleaning", "phi1+phi2+phi3") -> "118",
+    Seq("Daisy", "phi1") -> "49", Seq("Daisy", "phi1+phi2") -> "40",
+    Seq("Daisy", "phi1+phi2+phi3") -> "92",
+    Seq("Holoclean", "phi1") -> "1020", Seq("Holoclean", "phi1+phi2") -> "1108",
+    Seq("Holoclean", "phi1+phi2+phi3") -> "1188",
   )
 
-  def run(spark: SparkSession, nHospitals: Int = 4000, rowsPer: Int = 25,
-          includeHoloclean: Boolean = true): Seq[Row] = {
-    val data = Hospital.generate(spark, nHospitals, rowsPer,
-      nTie = nHospitals / 10, nMinority = nHospitals / 8, nZipErr = nHospitals / 8)
-    val dirty = data.dirty.materialized
-
-    Table5.ruleSets.flatMap { case (name, fds) =>
-      val offline = OfflineCleaner.run(dirty, fds, OfflineCleaner.Mode.Bulk)
-
-      val daisy = Daisy.single(spark, "hospital", dirty, fds)
-      val daisySecs = Workloads.runWorkload(daisy,
-        Workloads.hospitalWorkload(fds.flatMap(_.attrs).distinct))
-
-      val rows = Seq(
-        Row("Full cleaning", name, offline.seconds),
-        Row("Daisy", name, daisySecs),
-      )
-      if (includeHoloclean) {
-        val hc = HolocleanLite.run(dirty, fds)
-        rows :+ Row("Holoclean", name, hc.seconds)
-      } else rows
+  def run(spark: SparkSession, nHospitals: Int, rowsPer: Int): Seq[Row] = {
+    val dirty = Workloads.hospital(spark, nHospitals, rowsPer).dirty
+    val offline = Workloads.hospitalRuleSets.map { case (_, fds) =>
+      OfflineCleaner.run(dirty, fds, OfflineCleaner.Mode.Bulk).seconds
+    }
+    val scratch = Workloads.fromScratch(spark, dirty,
+      fds => Workloads.hospitalWorkload(fds.flatMap(_.attrs).distinct))
+    offline.zip(scratch).flatMap { case (off, (name, daisy, hc)) =>
+      Seq(Row("Full cleaning", name, off), Row("Daisy", name, daisy), Row("Holoclean", name, hc))
     }
   }
 
-  def render(measured: Seq[Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"system"}%-15s ${"rules"}%-15s ${"sec"}%8s   (paper sec)\n")
-    for (r <- measured) {
-      val p = paper.find(x => x.system == r.system && x.ruleSet == r.ruleSet)
-      sb.append(f"${r.system}%-15s ${r.ruleSet}%-15s ${r.seconds}%8.1f   " +
-        p.map(x => f"(${x.seconds}%6.0f)").getOrElse("") + "\n")
-    }
-    sb.toString
-  }
+  def report(rows: Seq[Row]): String =
+    Report.render("Table 6: Response time vs number of rules", Seq("system", "rules", "sec"), paper,
+      rows.map(r => (Seq(r.system, r.ruleSet), Seq(f"${r.seconds}%.1f"))))
+
+  def main(args: Array[String]): Unit =
+    Report.main("daisy-table6", args)((spark, arg) => report(run(spark, arg(0, 4000), arg(1, 25))))
 }

@@ -3,8 +3,6 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.Hospital
-import repro.holoclean.HolocleanLite
-import repro.core.ProbData.MaterializeOps
 
 /** Table 7 (§7.3): the provenance benefit. Rules arrive incrementally
   * (φ1, then φ2, then φ3) while the user queries the whole dataset.
@@ -15,69 +13,50 @@ import repro.core.ProbData.MaterializeOps
   *    state and the provenance (original values); a new rule only adds
   *    the cost of checking itself and merging its fixes.
   *  - HoloClean: three independent runs.
+  *
+  * Every Daisy step answers the workload through
+  * [[Workloads.runWorkload]].
+  *
+  * Usage: `spark-submit --class repro.exp.Table7 … [nHospitals=4000] [rowsPerHospital=25]`
   */
 object Table7 {
 
   final case class Row(system: String, step: String, seconds: Double)
 
-  /** Paper numbers (seconds). */
-  val paper: Seq[Row] = Seq(
-    Row("Daisy (3 executions)", "phi1", 51), Row("Daisy (3 executions)", "phi1+phi2", 49),
-    Row("Daisy (3 executions)", "phi1+phi2+phi3", 118), Row("Daisy (3 executions)", "Total", 218),
-    Row("Daisy (1 execution)", "phi1", 51), Row("Daisy (1 execution)", "phi1+phi2", 41),
-    Row("Daisy (1 execution)", "phi1+phi2+phi3", 40), Row("Daisy (1 execution)", "Total", 132),
-    Row("Holoclean", "phi1", 1020), Row("Holoclean", "phi1+phi2", 1108),
-    Row("Holoclean", "phi1+phi2+phi3", 1188), Row("Holoclean", "Total", 3316),
+  /** Paper figures (seconds) by (system, step). */
+  val paper: Map[Seq[String], String] = Map(
+    Seq("Daisy (3 executions)", "phi1") -> "51", Seq("Daisy (3 executions)", "phi1+phi2") -> "49",
+    Seq("Daisy (3 executions)", "phi1+phi2+phi3") -> "118", Seq("Daisy (3 executions)", "Total") -> "218",
+    Seq("Daisy (1 execution)", "phi1") -> "51", Seq("Daisy (1 execution)", "phi1+phi2") -> "41",
+    Seq("Daisy (1 execution)", "phi1+phi2+phi3") -> "40", Seq("Daisy (1 execution)", "Total") -> "132",
+    Seq("Holoclean", "phi1") -> "1020", Seq("Holoclean", "phi1+phi2") -> "1108",
+    Seq("Holoclean", "phi1+phi2+phi3") -> "1188", Seq("Holoclean", "Total") -> "3316",
   )
 
-  def run(spark: SparkSession, nHospitals: Int = 4000, rowsPer: Int = 25,
-          includeHoloclean: Boolean = true): Seq[Row] = {
-    val data = Hospital.generate(spark, nHospitals, rowsPer,
-      nTie = nHospitals / 10, nMinority = nHospitals / 8, nZipErr = nHospitals / 8)
-    val dirty = data.dirty.materialized
-    val allAttrs = Hospital.Rules.flatMap(_.attrs).distinct
-    val workload = Workloads.hospitalWorkload(allAttrs)
+  def run(spark: SparkSession, nHospitals: Int, rowsPer: Int): Seq[Row] = {
+    val dirty = Workloads.hospital(spark, nHospitals, rowsPer).dirty
+    val workload = Workloads.hospitalWorkload(Hospital.Rules.flatMap(_.attrs).distinct)
 
-    // Daisy, 3 separate executions (fresh session per rule set).
-    val threeExec = Table5.ruleSets.map { case (name, fds) =>
-      val daisy = Daisy.single(spark, "hospital", dirty, fds)
-      Row("Daisy (3 executions)", name, Workloads.runWorkload(daisy, workload))
+    // 3 separate executions (a fresh session per rule set) and HoloClean.
+    val scratch = Workloads.fromScratch(spark, dirty, _ => workload)
+
+    // 1 incremental execution: each rule set adds its last rule to a live session.
+    val live = Daisy.single(spark, "hospital", dirty, Seq(Hospital.Phi1))
+    val oneExec = Workloads.hospitalRuleSets.map { case (name, fds) =>
+      if (fds.size > 1) live.addRule("hospital", fds.last)
+      Row("Daisy (1 execution)", name, Workloads.runWorkload(live, workload))
     }
 
-    // Daisy, 1 incremental execution: rules are added to a live session.
-    val daisy1 = Daisy.single(spark, "hospital", dirty, Seq(Hospital.Phi1))
-    val (_, s1) = Workloads.timed { workload.foreach(daisy1.execute) }
-    daisy1.addRule("hospital", Hospital.Phi2)
-    val (_, s2) = Workloads.timed { workload.foreach(daisy1.execute) }
-    daisy1.addRule("hospital", Hospital.Phi3)
-    val (_, s3) = Workloads.timed { workload.foreach(daisy1.execute) }
-    val oneExec = Seq(
-      Row("Daisy (1 execution)", "phi1", s1),
-      Row("Daisy (1 execution)", "phi1+phi2", s2),
-      Row("Daisy (1 execution)", "phi1+phi2+phi3", s3),
-    )
-
-    val hcRows = if (includeHoloclean)
-      Table5.ruleSets.map { case (name, fds) =>
-        Row("Holoclean", name, HolocleanLite.run(dirty, fds).seconds)
-      }
-    else Nil
-
-    def withTotal(rows: Seq[Row]): Seq[Row] = rows.headOption match {
-      case Some(h) => rows :+ Row(h.system, "Total", rows.map(_.seconds).sum)
-      case None    => rows
-    }
-    withTotal(threeExec) ++ withTotal(oneExec) ++ withTotal(hcRows)
+    def withTotal(rows: Seq[Row]): Seq[Row] = rows :+ Row(rows.head.system, "Total", rows.map(_.seconds).sum)
+    withTotal(scratch.map { case (name, daisy, _) => Row("Daisy (3 executions)", name, daisy) }) ++
+      withTotal(oneExec) ++
+      withTotal(scratch.map { case (name, _, hc) => Row("Holoclean", name, hc) })
   }
 
-  def render(measured: Seq[Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"system"}%-22s ${"step"}%-15s ${"sec"}%8s   (paper sec)\n")
-    for (r <- measured) {
-      val p = paper.find(x => x.system == r.system && x.step == r.step)
-      sb.append(f"${r.system}%-22s ${r.step}%-15s ${r.seconds}%8.1f   " +
-        p.map(x => f"(${x.seconds}%6.0f)").getOrElse("") + "\n")
-    }
-    sb.toString
-  }
+  def report(rows: Seq[Row]): String =
+    Report.render("Table 7: Incremental rules via provenance", Seq("system", "step", "sec"), paper,
+      rows.map(r => (Seq(r.system, r.step), Seq(f"${r.seconds}%.1f"))))
+
+  def main(args: Array[String]): Unit =
+    Report.main("daisy-table7", args)((spark, arg) => report(run(spark, arg(0, 4000), arg(1, 25))))
 }

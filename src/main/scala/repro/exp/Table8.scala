@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.data.{AirQuality, Nestle}
+import repro.data.{AirQuality, Data, Nestle}
 import repro.offline.OfflineCleaner
 import repro.core.ProbData.MaterializeOps
 
@@ -17,84 +17,68 @@ import repro.core.ProbData.MaterializeOps
   *    (county_code, state_code) → county_name. Offline cleaning runs
   *    under a scaled-down version of the paper's one-day timeout and
   *    does not finish ("-" in the paper).
+  *
+  * Usage: `spark-submit --class repro.exp.Table8 … [nestleSmall] [nestleLarge] [airRows] [offlineTimeoutSec]`
+  * (defaults: [[Sizes]]).
   */
 object Table8 {
 
   final case class Row(dataset: String, daisySec: Double,
                        offlineSec: Option[Double], offlineTimedOut: Boolean,
-                       offGroupsDone: Long = 0, offGroupsTotal: Long = 0)
+                       offGroupsDone: Long, offGroupsTotal: Long)
 
-  /** Paper numbers: Daisy vs offline minutes (air quality offline "-"). */
-  val paper: Seq[(String, String, String)] = Seq(
-    ("Nestle (small)", "2.9 min", "3.97 min"),
-    ("Nestle (large)", "26.8 min", "8.5 hours"),
-    ("Air quality 30%", "10.5 min", "-"),
-    ("Air quality 97%", "49 min", "-"),
+  /** Paper figures (Daisy / offline; air quality offline "-") by dataset. */
+  val paper: Map[Seq[String], String] = Map(
+    Seq("Nestle (small)") -> "2.9 min / 3.97 min",
+    Seq("Nestle (large)") -> "26.8 min / 8.5 hours",
+    Seq("Air quality 30%") -> "10.5 min / -",
+    Seq("Air quality 97%") -> "49 min / -",
   )
 
+  /** Row counts, and the scaled-down version of the paper's one-day
+    * timeout under which every offline run but Nestle-small's runs.
+    */
   final case class Sizes(nestleSmall: Long = 60000, nestleLarge: Long = 400000,
-                         nestleSmallMats: Int = 800, nestleLargeMats: Int = 2500,
-                         airRows: Long = 150000, airCounties: Int = 600,
-                         /** Nestle-small offline is allowed to finish
-                           * (the paper reports 3.97 min for it). */
-                         nestleSmallTimeoutSec: Double = 1200.0,
-                         /** Everything else runs under the scaled-down
-                           * version of the paper's one-day timeout. */
-                         offlineTimeoutSec: Double = 240.0)
+                         airRows: Long = 150000, offlineTimeoutSec: Double = 240.0)
 
-  def run(spark: SparkSession, sz: Sizes = Sizes()): Seq[Row] = {
-    val nestleSmall = nestleRun(spark, sz.nestleSmall, sz.nestleSmallMats, sz.nestleSmallTimeoutSec)
-    val nestleLarge = nestleRun(spark, sz.nestleLarge, sz.nestleLargeMats, sz.offlineTimeoutSec)
-    val air30 = airRun(spark, sz.airRows, sz.airCounties, 0.30, sz.offlineTimeoutSec)
-    val air97 = airRun(spark, sz.airRows, sz.airCounties, 0.97, sz.offlineTimeoutSec)
-    Seq(
-      nestleSmall.copy(dataset = "Nestle (small)"),
-      nestleLarge.copy(dataset = "Nestle (large)"),
-      air30.copy(dataset = "Air quality 30%"),
-      air97.copy(dataset = "Air quality 97%"),
-    )
-  }
+  private val NestleSmallMats = 800
+  private val NestleLargeMats = 2500
+  private val AirCounties = 600
+  /** Nestle-small offline is allowed to finish (the paper reports 3.97 min for it). */
+  private val NestleSmallTimeoutSec = 1200.0
 
-  private def nestleRun(spark: SparkSession, nRows: Long, nMats: Int,
-                        timeoutSec: Double): Row = {
-    val data = Nestle.generate(spark, nRows, nMats)
+  def run(spark: SparkSession, sz: Sizes): Seq[Row] = Seq(
+    scenario(spark, "Nestle (small)", Nestle.generate(spark, sz.nestleSmall, NestleSmallMats),
+      "nestle", Nestle.Phi, Workloads.nestleWorkload(), NestleSmallTimeoutSec),
+    scenario(spark, "Nestle (large)", Nestle.generate(spark, sz.nestleLarge, NestleLargeMats),
+      "nestle", Nestle.Phi, Workloads.nestleWorkload(), sz.offlineTimeoutSec),
+    scenario(spark, "Air quality 30%", AirQuality.generate(spark, sz.airRows, AirCounties, 0.30),
+      "air", AirQuality.Phi, Workloads.airQualityWorkload(AirCounties), sz.offlineTimeoutSec),
+    scenario(spark, "Air quality 97%", AirQuality.generate(spark, sz.airRows, AirCounties, 0.97),
+      "air", AirQuality.Phi, Workloads.airQualityWorkload(AirCounties), sz.offlineTimeoutSec),
+  )
+
+  /** Daisy answering `workload` over `table`, then the offline per-group
+    * repair of the whole table under `timeoutSec`.
+    */
+  private def scenario(spark: SparkSession, dataset: String, data: Data, table: String,
+                       fd: Fd, workload: Seq[QuerySpec], timeoutSec: Double): Row = {
     val dirty = data.dirty.materialized
-
-    val daisy = Daisy.single(spark, "nestle", dirty, Seq(Nestle.Phi))
-    val daisySec = Workloads.runWorkload(daisy, Workloads.nestleWorkload())
-
-    val off = OfflineCleaner.run(dirty, Seq(Nestle.Phi),
-      OfflineCleaner.Mode.PerGroup, timeoutSec)
-    Row("nestle", daisySec,
-      if (off.timedOut) None else Some(off.seconds), off.timedOut,
+    val daisySec = Workloads.runWorkload(Daisy.single(spark, table, dirty, Seq(fd)), workload)
+    val off = OfflineCleaner.run(dirty, Seq(fd), OfflineCleaner.Mode.PerGroup, timeoutSec)
+    Row(dataset, daisySec, if (off.timedOut) None else Some(off.seconds), off.timedOut,
       off.groupsProcessed, off.groupsTotal)
   }
 
-  private def airRun(spark: SparkSession, nRows: Long, nCounties: Int,
-                     share: Double, timeoutSec: Double): Row = {
-    val data = AirQuality.generate(spark, nRows, nCounties, share)
-    val dirty = data.dirty.materialized
+  def report(rows: Seq[Row]): String =
+    Report.render("Table 8: Realistic exploratory scenarios", Seq("dataset", "Daisy", "Offline"), paper,
+      rows.map(r => (Seq(r.dataset), Seq(f"${r.daisySec}%.1fs", r.offlineSec.fold(
+        s"timeout after ${r.offGroupsDone}/${r.offGroupsTotal} groups")(s => f"$s%.1fs")))))
 
-    val daisy = Daisy.single(spark, "air", dirty, Seq(AirQuality.Phi))
-    val daisySec = Workloads.runWorkload(daisy, Workloads.airQualityWorkload(nCounties))
-
-    val off = OfflineCleaner.run(dirty, Seq(AirQuality.Phi),
-      OfflineCleaner.Mode.PerGroup, timeoutSec)
-    Row("air", daisySec,
-      if (off.timedOut) None else Some(off.seconds), off.timedOut,
-      off.groupsProcessed, off.groupsTotal)
-  }
-
-  def render(measured: Seq[Row]): String = {
-    val sb = new StringBuilder
-    sb.append(f"${"dataset"}%-18s ${"Daisy"}%10s ${"Offline"}%12s   (paper Daisy / Offline)\n")
-    for (r <- measured) {
-      val p = paper.find(_._1 == r.dataset)
-      val offs = r.offlineSec.map(s => f"$s%10.1fs").getOrElse(
-        f"timeout after ${r.offGroupsDone}/${r.offGroupsTotal} groups")
-      sb.append(f"${r.dataset}%-18s ${r.daisySec}%9.1fs $offs   " +
-        p.map(x => s"(${x._2} / ${x._3})").getOrElse("") + "\n")
+  def main(args: Array[String]): Unit =
+    Report.main("daisy-table8", args) { (spark, arg) =>
+      val d = Sizes()
+      report(run(spark, Sizes(arg(0, d.nestleSmall), arg(1, d.nestleLarge), arg(2, d.airRows),
+        arg(3, d.offlineTimeoutSec))))
     }
-    sb.toString
-  }
 }

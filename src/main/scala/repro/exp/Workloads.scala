@@ -1,7 +1,10 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
+import repro.core.ProbData.MaterializeOps
+import repro.data.{Data, Hospital}
+import repro.holoclean.HolocleanLite
 
 /** Shared helpers for the evaluation workloads (§7). */
 object Workloads {
@@ -12,6 +15,31 @@ object Workloads {
     val a = f
     (a, (System.nanoTime() - t0) / 1e9)
   }
+
+  /** The hospital input of Tables 5–7: `nHospitals` hospitals ×
+    * `rowsPer` rows with tie city errors on a tenth of the hospitals and
+    * minority city and zip errors on an eighth each; the dirty table is
+    * materialized.
+    */
+  def hospital(spark: SparkSession, nHospitals: Int, rowsPer: Int): Data = {
+    val d = Hospital.generate(spark, nHospitals, rowsPer,
+      nTie = nHospitals / 10, nMinority = nHospitals / 8, nZipErr = nHospitals / 8)
+    d.copy(dirty = d.dirty.materialized)
+  }
+
+  /** The rule sets of Tables 5–7: φ1, then φ2 and φ3 added, by name. */
+  val hospitalRuleSets: Seq[(String, Seq[Fd])] =
+    (1 to Hospital.Rules.size).map(Hospital.Rules.take).map(fds => fds.map(_.id).mkString("+") -> fds)
+
+  /** Per rule set of Tables 6 and 7: its name, the seconds of a fresh
+    * Daisy session answering `workload(rules)`, and of a HoloClean run.
+    */
+  def fromScratch(spark: SparkSession, dirty: DataFrame,
+                  workload: Seq[Fd] => Seq[QuerySpec]): Seq[(String, Double, Double)] =
+    hospitalRuleSets.map { case (name, fds) =>
+      (name, runWorkload(Daisy.single(spark, "hospital", dirty, fds), workload(fds)),
+        HolocleanLite.run(dirty, fds).seconds)
+    }
 
   /** The 4-query whole-dataset SP workload of the hospital experiments
     * (§7.3: "a workload of 4 SP queries that access the whole dataset;
@@ -60,6 +88,13 @@ object Workloads {
         aggs = Seq(Agg("avg", "co", "avg_co")))
     }
 
+  /** The local session every runner, test and benchmark uses. The
+    * cleaning loops checkpoint many intermediate frames whose sizes
+    * Catalyst does not know; the MaxValue default makes the
+    * size-in-bytes products of nested-join plans explode into huge
+    * BigInts during (re-)planning. A finite default and non-adaptive
+    * planning keep driver-side planning time flat.
+    */
   def newSpark(app: String): SparkSession =
     SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)

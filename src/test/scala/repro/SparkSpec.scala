@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Workloads
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -20,20 +21,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "16"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // The cleaning loops checkpoint many intermediate frames whose
-      // sizes Catalyst does not know; the MaxValue default makes the
-      // size-in-bytes products of nested-join plans explode into huge
-      // BigInts during (re-)planning. A finite default and non-adaptive
-      // planning keep driver-side planning time flat.
-      .config("spark.sql.defaultSizeInBytes", 10L * 1024 * 1024)
-      .config("spark.sql.adaptive.enabled", "false")
-      .getOrCreate()
+    val s = Workloads.newSpark("repro")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

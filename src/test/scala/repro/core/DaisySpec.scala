@@ -240,8 +240,8 @@ class DaisySpec extends SparkSpec {
       assert(d.state("lo").filter(!ProbData.checkedBy(SSB.Phi.id)).count() == 0)
     }
     // Regardless, the final state matches offline bulk cleaning after
-    // covering the rest explicitly.
-    d.cleanTableFully("lo")
+    // a whole-table query covers the rest.
+    d.execute(QuerySpec("lo", select = Seq("orderkey", "suppkey")))
     val offline = OfflineCleaner.run(data.dirty, Seq(SSB.Phi))
     assert(canon(d.state("lo"), Seq("orderkey", "suppkey")) ==
       canon(offline.state, Seq("orderkey", "suppkey")))
@@ -335,7 +335,7 @@ class DaisySpec extends SparkSpec {
       assert(res.count() == n)
       val rep = d.lastReport.perRule.head
       assert(rep.dirty == 0 && !rep.switchedToFull && rep.dcDecision.isDefined)
-      d.cleanTableFully("sal")
+      d.execute(QuerySpec("sal", select = Seq("salary", "tax")))
       val st = d.state("sal")
       assert(st.count() == n)
       assert(st.filter(ProbData.isDirty("salary") || ProbData.isDirty("tax") ||

@@ -46,7 +46,7 @@ class WorkloadsSpec extends SparkSpec {
   }
 
   test("miniature Table 5: DaisyP trails the inference systems on φ1, all recover with 3 rules") {
-    val rows = Table5.run(spark, nHospitals = 60, rowsPer = 8)
+    val rows = Table5.run(spark, nHospitals = 60)
     def row(sys: String, rs: String) = rows.find(r => r.system == sys && r.ruleSet == rs).get
     // φ1 only: blind most-probable picking is clearly worse in precision.
     assert(row("DaisyP", "phi1").precision < row("DaisyH", "phi1").precision)
