@@ -2,45 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.ProbData.MaterializeOps
 
-/** The cleaning operators of §4: `clean_σ` (Definition 2) and the
-  * probabilistic/incremental join machinery behind `clean_⋈`
-  * (Definition 3). Both are DataFrame → DataFrame transforms; the
-  * stateful orchestration (in-place dataset update, bookkeeping, cost
-  * model) lives in [[Daisy]].
+/** The probabilistic and incremental joins behind `clean_⋈`
+  * (Definition 3), DataFrame → DataFrame transforms. [[Daisy]] holds
+  * the stateful orchestration (in-place dataset update, bookkeeping,
+  * cost model) and runs `clean_σ` (Definition 2) with [[FdRepair.clean]]
+  * and [[DcRepair.clean]].
   */
 object CleanOps {
 
   private val tidC = ProbData.TidCol
-
-  /** Outcome of `clean_σ` for one FD. */
-  final case class SelectOutcome(
-      state: DataFrame,
-      relaxed: Relaxation.Relaxed,
-      fixes: FdRepair.Fixes)
-
-  /** `clean_σ` (§4.1): relaxes the answer, detects and repairs the
-    * violations of the relaxed subset that were not already checked by
-    * this rule, and updates the relation in place. Tuples already
-    * checked by `fd` are excluded from the repair statistics (their
-    * candidate sets already reflect this rule) but the whole relaxed
-    * subset is marked checked.
-    */
-  def cleanSelectFd(state: DataFrame, answerTids: DataFrame, fd: Fd,
-                    maxIter: Int = 20): SelectOutcome =
-    cleanSelectFd(FdGraph.collect(state, fd, FdGraph.memberOf(answerTids)), maxIter)
-
-  /** `clean_σ` on the rule's value graph collected with the answer as
-    * its members: one materialized rewrite of the graph's state.
-    */
-  def cleanSelectFd(g: FdGraph, maxIter: Int): SelectOutcome = {
-    val closure = Relaxation.closure(g, maxIter)
-    val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
-    val fixes = FdRepair.fixesOf(g, s => closure.contains(s) && !s.checked, subset)
-    SelectOutcome(FdRepair.rewrite(g.state, g.fd, fixes, subset).materialized,
-      Relaxation.relaxed(g, closure), fixes)
-  }
 
   /** Probabilistic equi-join (§4): a pair qualifies iff the candidate
     * value sets of the join keys overlap. The result keeps the lineage

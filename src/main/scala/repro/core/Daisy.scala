@@ -23,8 +23,8 @@ final case class DaisyOptions(
   * Holds the gradually-cleaned probabilistic state of every relation.
   * `execute` runs one query of the workload: it plans the cleaning
   * operators ([[Planner]]), relaxes and repairs the touched subsets
-  * ([[CleanOps]], [[FdRepair]], [[ThetaJoin]]/[[DcRepair]]), updates
-  * the dataset in place, and returns the (probabilistic) query result.
+  * ([[FdRepair]], [[ThetaJoin]]/[[DcRepair]]), updates the dataset in
+  * place, joins ([[CleanOps]]) and returns the (probabilistic) query result.
   * Provenance is the base columns (original values), which lets
   * [[addRule]] merge newly-arriving rules without recomputing earlier
   * work (Table 7).
@@ -146,9 +146,11 @@ final class Daisy(val spark: SparkSession,
     */
   private def runStep(table: String, step: Planner.CleaningStep, answer: Column,
                       where: Seq[Pred] = Nil): RuleReport = step.rule match {
+    // A rule is placed BeforeFilter once its tracker has switched, which
+    // only fullCleanRemaining does, after marking every tuple checked by
+    // the rule; checked marks are never removed, so nothing is left to clean.
     case fd: Fd if step.placement == Planner.BeforeFilter =>
-      RuleReport(table, fd.id, 0, 0, fullCleanRemaining(table, fd), skippedByPruning = false,
-        switchedToFull = true, None)
+      RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = false, switchedToFull = true, None)
     case fd: Fd => cleanSelectFd(table, fd, answer, where)
     case dc: InequalityDc => cleanSelectDc(table, dc, answer)
   }
@@ -183,25 +185,27 @@ final class Daisy(val spark: SparkSession,
         switchedToFull = false, None)
     }
 
-    val out = CleanOps.cleanSelectFd(g, maxIter)
-    states(table) = out.state
-    tr.register(g.count(_.in), out.relaxed.extraCount, out.fixes.nDirty)
+    val (st, closure, fixes) = FdRepair.clean(g, maxIter)
+    states(table) = st
+    tr.register(g.count(_.in), closure.extraCount, fixes.nDirty)
 
     var switched = false
     if (opts.useCostModel && tr.shouldSwitchToFull) {
       fullCleanRemaining(table, fd)
       switched = true
     }
-    RuleReport(table, fd.id, out.relaxed.extraCount, out.relaxed.iterations,
-      out.fixes.nDirty, skippedByPruning = false, switched, None)
+    RuleReport(table, fd.id, closure.extraCount, closure.iterations,
+      fixes.nDirty, skippedByPruning = false, switched, None)
   }
 
   /** Cleans every tuple not yet checked by `fd` in one pass and marks
-    * the rule as fully applied (the BeforeFilter / strategy-switch
-    * path). Returns the number of repaired tuples.
+    * the rule as fully applied (the §5.2.3 strategy switch), after which
+    * the planner places it BeforeFilter. Returns the number of repaired
+    * tuples.
     */
   def fullCleanRemaining(table: String, fd: Fd): Long = {
-    val (st, fixes) = FdRepair.clean(states(table), fd, !ProbData.checkedBy(fd.id))
+    val g = FdGraph.collect(states(table), fd, !ProbData.checkedBy(fd.id))
+    val (st, _, fixes) = FdRepair.clean(g, 0)
     states(table) = st
     trackers.get((table, fd.id)).foreach(_.markSwitched())
     fixes.nDirty

@@ -99,9 +99,16 @@ final case class InequalityDc(id: String, atoms: Seq[Atom]) extends Rule {
   require(atoms.nonEmpty, s"DC $id needs at least one atom")
   override def attrs: Seq[String] = atoms.map(_.attr).distinct
 
-  /** True iff the ordered pair (t1, t2) violates the constraint,
-    * i.e. every atom holds.
+  /** Each atom with the position of its attribute in [[attrs]]. */
+  private val indexed: Array[(Atom, Int)] = atoms.map(a => (a, attrs.indexOf(a.attr))).toArray
+
+  /** True iff the ordered pair (t1, t2) violates the constraint, i.e.
+    * every atom holds; `t1` and `t2` hold the tuples' values in [[attrs]]
+    * order.
     */
-  def violates(t1: Map[String, Double], t2: Map[String, Double]): Boolean =
-    atoms.forall(a => a.eval(t1(a.attr), t2(a.attr)))
+  def violates(t1: Array[Double], t2: Array[Double]): Boolean = {
+    var k = 0
+    while (k < indexed.length && indexed(k)._1.eval(t1(indexed(k)._2), t2(indexed(k)._2))) k += 1
+    k == indexed.length
+  }
 }

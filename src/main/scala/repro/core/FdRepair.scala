@@ -161,13 +161,20 @@ object FdRepair {
     ProbData.applyFixTable(keyed(state, fd, fixes.subset).join(broadcast(fixes.byKey), keyCond, "left"),
       state.columns.toSeq, fd.lhs :+ fd.rhs, fd.id, mark)(ProbData.mergeCands(_, _))
 
-  /** Detects, repairs and marks checked the tuples satisfying `subset`
-    * with one signature collection and one materialized rewrite.
+  /** The one FD clean step (§4.1): relaxes the graph's members with
+    * Algorithm 1 bounded by `maxIter`, detects and repairs the relaxed
+    * tuples the rule has not checked yet, and marks them checked, with
+    * one materialized rewrite of the graph's state. Tuples already
+    * checked by the rule are left out of the repair statistics: their
+    * candidate sets already reflect it. With `maxIter = 0` the closure
+    * is the members alone, which is how full cleaning calls it, on a
+    * graph collected with the unchecked tuples as members.
     */
-  def clean(state: DataFrame, fd: Fd, subset: Column): (DataFrame, Fixes) = {
-    val g = FdGraph.collect(state, fd, subset)
-    val fixes = fixesOf(g, _.in, g.member)
-    (rewrite(state, fd, fixes, g.member).materialized, fixes)
+  def clean(g: FdGraph, maxIter: Int): (DataFrame, Relaxation.Closure, Fixes) = {
+    val closure = Relaxation.closure(g, maxIter)
+    val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
+    val fixes = fixesOf(g, s => closure.contains(s) && !s.checked, subset)
+    (rewrite(g.state, g.fd, fixes, subset).materialized, closure, fixes)
   }
 
   /** The per-group form of [[clean]] (§5.2.1's pass per erroneous
@@ -175,7 +182,7 @@ object FdRepair {
     * lhs value of `lvs` until `stop` holds after a group, then one
     * materialized rewrite that merges the processed groups' fixes and
     * marks their tuples checked. Fixes read base values only, so on
-    * those tuples the state equals [[clean]]'s. `nDirtyGroups` of the
+    * those tuples the state equals full cleaning's. `nDirtyGroups` of the
     * returned fixes counts the processed groups.
     */
   def cleanGroups(state: DataFrame, fd: Fd, lvs: IndexedSeq[String], stop: => Boolean): (DataFrame, Fixes) = {

@@ -154,22 +154,6 @@ object ProbData {
           x.getField("n").as("n"))))))
   }
 
-  /** Renders a candidate set as a compact string such as
-    * "Los Angeles@0.67|San Francisco@0.33" — used by tests and by the
-    * probabilistic dataset export.
-    */
-  def candsToString(attr: String): Column = {
-    val c = col(candCol(attr))
-    when(c.isNull || size(c) === 0, col(attr).cast(StringType)).otherwise(
-      array_join(
-        transform(array_sort(c), x =>
-          concat(
-            when(x.getField("op") === "=", x.getField("v"))
-              .otherwise(concat(x.getField("op"), x.getField("v"))),
-            lit("@"), format_number(x.getField("p"), 2))),
-        "|"))
-  }
-
   /** Column name carrying the new candidate set of attribute `a` in a
     * fix table.
     */

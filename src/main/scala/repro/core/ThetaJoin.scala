@@ -189,15 +189,9 @@ object ThetaJoin {
     */
   def violationsOf(points: Iterable[Point], seen: Long => Boolean, dc: InequalityDc,
                    pairs: Seq[(Int, Int)]): Seq[Violation] = {
-    val atoms = dc.atoms.map(at => (at, dc.attrs.indexOf(at.attr))).toArray
-    def violates(x: Array[Double], y: Array[Double]): Boolean = {
-      var k = 0
-      while (k < atoms.length && atoms(k)._1.eval(x(atoms(k)._2), y(atoms(k)._2))) k += 1
-      k == atoms.length
-    }
     val out = mutable.LinkedHashMap[(Long, Long), Violation]()
     for ((t1, v1, t2, v2) <- compared(points, seen, pairs)) {
-      val (v12, v21) = (violates(v1, v2), violates(v2, v1))
+      val (v12, v21) = (dc.violates(v1, v2), dc.violates(v2, v1))
       if (v12 || v21) {
         val dir = if (v12 && v21) "both" else if (v12) "12" else "21"
         // Canonical orientation: tid1 < tid2, with dir/value sides swapped.

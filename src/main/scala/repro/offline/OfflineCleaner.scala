@@ -59,10 +59,13 @@ object OfflineCleaner {
     var timedOut = false
     var done = 0L
     var total = 0L
+    // The FD clean step over every tuple of `st` that `fd` has not checked, unrelaxed.
+    def cleanUnchecked(st: DataFrame, fd: Fd) =
+      FdRepair.clean(FdGraph.collect(st, fd, !ProbData.checkedBy(fd.id)), 0)
     for (r <- rules if !timedOut) r match {
       case fd: Fd => mode match {
         case Mode.Bulk =>
-          val (cleaned, fixes) = FdRepair.clean(state, fd, lit(true))
+          val (cleaned, _, fixes) = cleanUnchecked(state, fd)
           state = cleaned
           done += fixes.nDirtyGroups; total += fixes.nDirtyGroups
         case Mode.PerGroup =>
@@ -72,7 +75,7 @@ object OfflineCleaner {
           val (s, fixes) = FdRepair.cleanGroups(state, fd, lvs, (System.nanoTime() - t0) / 1e9 > timeoutSec)
           done += fixes.nDirtyGroups; total += lvs.size
           timedOut = fixes.nDirtyGroups < lvs.size
-          state = if (timedOut) s else FdRepair.clean(s, fd, !ProbData.checkedBy(fd.id))._1
+          state = if (timedOut) s else cleanUnchecked(s, fd)._1
       }
       case dc: InequalityDc =>
         val buck = ThetaJoin.bucketize(state, dc, dcPartitions)

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.ProbData.MaterializeOps
 
-/** clean_σ and the probabilistic/incremental join (§4.1, §4.4). */
+/** clean_σ of an FD and the probabilistic/incremental join (§4.1, §4.4). */
 class CleanOpsSpec extends SparkSpec {
 
   private lazy val state = ProbData.init(TestData.cities(spark), Seq(TestData.cityFd))
@@ -15,21 +15,21 @@ class CleanOpsSpec extends SparkSpec {
 
   test("clean_σ on a rhs filter relaxes, repairs and marks checked") {
     val a = state.filter(col("city") === "Los Angeles").select("__tid")
-    val out = CleanOps.cleanSelectFd(state, a, fd, maxIter = 1)
-    assert(TestData.tids(out.relaxed.tids) == Seq(0L, 1L, 2L))
-    assert(out.fixes.nDirty == 3)
-    assert(out.state.filter(ProbData.checkedBy(fd.id)).count() == 3)
-    val city = TestData.candsOf(out.state, "city")
+    val (out, relaxed, fixes) = TestData.cleanSelect(state, a, fd, maxIter = 1)
+    assert(TestData.tids(relaxed.tids) == Seq(0L, 1L, 2L))
+    assert(fixes.nDirty == 3)
+    assert(out.filter(ProbData.checkedBy(fd.id)).count() == 3)
+    val city = TestData.candsOf(out, "city")
     assert(city(0L) == Seq(("Los Angeles", "=", 0.67), ("San Francisco", "=", 0.33)))
   }
 
   test("clean_σ skips tuples already checked by the rule") {
     val a = state.filter(col("city") === "Los Angeles").select("__tid")
-    val once = CleanOps.cleanSelectFd(state, a, fd, maxIter = 1)
-    val twice = CleanOps.cleanSelectFd(once.state, a, fd, maxIter = 1)
-    assert(twice.fixes.nDirty == 0)
+    val (once, _, _) = TestData.cleanSelect(state, a, fd, maxIter = 1)
+    val (twice, _, twiceFixes) = TestData.cleanSelect(once, a, fd, maxIter = 1)
+    assert(twiceFixes.nDirty == 0)
     // Probabilities unchanged after the no-op second pass.
-    val city = TestData.candsOf(twice.state, "city")
+    val city = TestData.candsOf(twice, "city")
     assert(city(0L) == Seq(("Los Angeles", "=", 0.67), ("San Francisco", "=", 0.33)))
   }
 
@@ -50,14 +50,14 @@ class CleanOpsSpec extends SparkSpec {
 
   test("Example 6: after clean_σ the relaxed city part has probabilistic zips (Table 4d)") {
     val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
-    val out = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1)
-    val zip = TestData.candsOf(out.state, "zip")
+    val (out, _, _) = TestData.cleanSelect(citiesJ, a, fd, maxIter = 1)
+    val zip = TestData.candsOf(out, "zip")
     assert(zip(1L) == Seq(("10001", "=", 0.5), ("9001", "=", 0.5)))
   }
 
   test("Example 6: probabilistic join matches on candidate overlap (Table 4e)") {
     val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
-    val cleanedC = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1).state
+    val cleanedC = TestData.cleanSelect(citiesJ, a, fd, maxIter = 1)._1
     val laPart = cleanedC.filter(ProbData.qualifies(cleanedC, Pred("city", "=", "Los Angeles")))
     val j = CleanOps.probEquiJoin(laPart, emps, "zip", "ezip")
     val pairs = j.select("__ltid", "__rtid").collect()
@@ -68,33 +68,33 @@ class CleanOpsSpec extends SparkSpec {
 
   test("Example 6: cleaning the employee side adds Jon via phone → zip (Table 4e)") {
     val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
-    val cleanedC = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1).state
+    val cleanedC = TestData.cleanSelect(citiesJ, a, fd, maxIter = 1)._1
     val laPart = cleanedC.filter(ProbData.qualifies(cleanedC, Pred("city", "=", "Los Angeles")))
       .materialized
     val j0 = CleanOps.probEquiJoin(laPart, emps, "zip", "ezip")
     val rq = j0.select(col("__rtid").as("__tid"))
-    val outE = CleanOps.cleanSelectFd(emps, rq, TestData.empFd)
+    val (outE, _, _) = TestData.cleanSelect(emps, rq, TestData.empFd, maxIter = 20)
     // Jon and Mary share phone 12345 with different zips → both get
     // candidates {10001 50%, 10002 50%}.
-    val ez = TestData.candsOf(outE.state, "ezip")
+    val ez = TestData.candsOf(outE, "ezip")
     assert(ez(0L) == Seq(("10001", "=", 0.5), ("10002", "=", 0.5)))
     assert(ez(1L) == Seq(("10001", "=", 0.5), ("10002", "=", 0.5)))
 
-    val changed = outE.state.filter(ProbData.isDirty("ezip")).select("__tid")
+    val changed = outE.filter(ProbData.isDirty("ezip")).select("__tid")
     val j1 = CleanOps.incrementalJoin(j0, laPart,
-      outE.state.join(changed, "__tid"), "zip", "ezip")
+      outE.join(changed, "__tid"), "zip", "ezip")
     val names = j1.select("ename").collect().map(_.getString(0)).toSet
     assert(names == Set("Peter", "Mary", "Jon"))
   }
 
   test("incremental join equals recomputing the full probabilistic join (Lemma 5)") {
     val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
-    val cleanedC = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1).state
+    val cleanedC = TestData.cleanSelect(citiesJ, a, fd, maxIter = 1)._1
     val laPart = cleanedC.filter(ProbData.qualifies(cleanedC, Pred("city", "=", "Los Angeles")))
       .materialized
     val j0 = CleanOps.probEquiJoin(laPart, emps, "zip", "ezip")
     val rq = j0.select(col("__rtid").as("__tid"))
-    val cleanedE = CleanOps.cleanSelectFd(emps, rq, TestData.empFd).state.materialized
+    val cleanedE = TestData.cleanSelect(emps, rq, TestData.empFd, maxIter = 20)._1.materialized
 
     val changed = cleanedE.filter(ProbData.isDirty("ezip")).select("__tid")
     val incr = CleanOps.incrementalJoin(j0, laPart, cleanedE.join(changed, "__tid"),
@@ -125,12 +125,12 @@ class CleanOpsSpec extends SparkSpec {
 
   test("probEquiJoin and incrementalJoin run as broadcast hash joins without a shuffle") {
     val a = citiesJ.filter(col("city") === "Los Angeles").select("__tid")
-    val cleanedC = CleanOps.cleanSelectFd(citiesJ, a, fd, maxIter = 1).state
+    val cleanedC = TestData.cleanSelect(citiesJ, a, fd, maxIter = 1)._1
     val laPart = cleanedC.filter(ProbData.qualifies(cleanedC, Pred("city", "=", "Los Angeles")))
     val empState = emps.materialized
     val j0 = CleanOps.probEquiJoin(laPart, empState, "zip", "ezip")
-    val cleanedE = CleanOps.cleanSelectFd(empState, j0.select(col("__rtid").as("__tid")),
-      TestData.empFd).state
+    val cleanedE = TestData.cleanSelect(empState, j0.select(col("__rtid").as("__tid")),
+      TestData.empFd, maxIter = 20)._1
     val j1 = CleanOps.incrementalJoin(j0, laPart, cleanedE.filter(ProbData.isDirty("ezip")),
       "zip", "ezip")
     for ((df, joins) <- Seq(j0 -> 1, j1 -> 3)) {

@@ -12,7 +12,8 @@ import repro.offline.OfflineCleaner
   * caller and counts it only when `ExecReport.resultRows` is read (one
   * job). On the FD clean path: one signature collection, the broadcast
   * of the fix table and one materialized state rewrite for a cleaned
-  * query; the collection alone for a pruned one. On the DC path: one
+  * query; the collection alone for a pruned one; none once the rule has
+  * switched to full cleaning, which checked every tuple. On the DC path: one
   * collection of the answer's tids, which on the rule's first use also
   * carries the DC attributes of every tuple for the bucketization, then
   * the broadcast of the fix table and one materialized state rewrite
@@ -70,6 +71,25 @@ class DaisyJobCountSpec extends SparkSpec {
       where = Seq(Pred("hospital_type", "=", "type_1")), select = select)))
     assert(daisy.lastReport.perRule.head.skippedByPruning)
     assert(pruned <= 1, s"pruned query ran $pruned jobs")
+  }
+
+  test("φ1 after the switch to full cleaning: a later query runs no clean job") {
+    val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
+      nTie = 4, nMinority = 4, nZipErr = 4)
+    val daisy = Daisy.single(spark, "hospital", data.dirty, Seq(Hospital.Phi1))
+    val select = Seq("zip", "city", "provider_id")
+    daisy.execute(QuerySpec("hospital", where = Seq(Pred("hospital_type", "!=", "type_1")),
+      select = select))
+    daisy.fullCleanRemaining("hospital", Hospital.Phi1)
+    val before = daisy.state("hospital")
+
+    val (_, jobs) = jobsOf(daisy.execute(QuerySpec("hospital",
+      where = Seq(Pred("hospital_type", "=", "type_1")), select = select)))
+    assert(daisy.lastReport.plan.steps.map(_.placement) == Seq(Planner.BeforeFilter))
+    val rep = daisy.lastReport.perRule.head
+    assert(rep.switchedToFull && rep.dirty == 0 && !rep.skippedByPruning, s"report $rep")
+    assert(jobs == 0, s"query after the switch ran $jobs jobs")
+    assert(daisy.state("hospital") eq before, "the query replaced the state")
   }
 
   test("price/discount DC on a small lineorder table: one detection per cleaned query") {

@@ -16,7 +16,7 @@ class DaisySpec extends SparkSpec {
 
   // Canonical probabilistic view for state comparisons.
   private def canon(state: DataFrame, attrs: Seq[String]): Seq[String] =
-    attrs.foldLeft(state)((df, a) => df.withColumn(a + "_v", ProbData.candsToString(a)))
+    attrs.foldLeft(state)((df, a) => df.withColumn(a + "_v", TestData.candsToString(a)))
       .select((Seq("__tid") ++ attrs.map(_ + "_v")).map(col): _*)
       .collect().map(_.toSeq.mkString("|")).sorted.toSeq
 
@@ -279,7 +279,7 @@ class DaisySpec extends SparkSpec {
     val d = freshDaisy()
     d.execute(QuerySpec("cities", select = Seq("zip", "city")))
     val row0 = d.state("cities").filter(col("__tid") === 0L)
-      .select(ProbData.candsToString("zip"), ProbData.candsToString("city")).collect().head
+      .select(TestData.candsToString("zip"), TestData.candsToString("city")).collect().head
     assert(row0.getString(0) == "9001")
     assert(row0.getString(1) == "Los Angeles@0.67|San Francisco@0.33")
   }

@@ -39,8 +39,13 @@ class DcModelSpec extends AnyFunSuite {
 
   test("DC violates iff every atom holds") {
     val dc = InequalityDc("d", Seq(Atom("s", "<"), Atom("t", ">")))
-    assert(dc.violates(Map("s" -> 1.0, "t" -> 0.3), Map("s" -> 2.0, "t" -> 0.2)))
-    assert(!dc.violates(Map("s" -> 1.0, "t" -> 0.1), Map("s" -> 2.0, "t" -> 0.2)))
+    assert(dc.violates(Array(1.0, 0.3), Array(2.0, 0.2)))
+    assert(!dc.violates(Array(1.0, 0.1), Array(2.0, 0.2)))
+    // Values are in `attrs` order, whatever the atoms' order.
+    val rep = InequalityDc("r", Seq(Atom("t", ">"), Atom("s", "<"), Atom("t", ">=")))
+    assert(rep.attrs == Seq("t", "s"))
+    assert(rep.violates(Array(0.3, 1.0), Array(0.2, 2.0)))
+    assert(!rep.violates(Array(0.3, 2.0), Array(0.2, 1.0)))
   }
 
   test("DC attrs deduplicate") {

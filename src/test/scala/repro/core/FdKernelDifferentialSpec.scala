@@ -54,9 +54,9 @@ class FdKernelDifferentialSpec extends SeededSpec {
     val prior = priorOf(seed)
     var st = ProbData.init(spark.createDataFrame(c.rows).toDF("__tid", "a", "b", "c"),
       fd +: prior.toSeq)
-    for (p <- prior) st = FdRepair.clean(st, p, lit(true))._1
+    for (p <- prior) st = FdRepair.clean(FdGraph.collect(st, p, lit(true)), 0)._1
     if (c.first.nonEmpty)
-      st = CleanOps.cleanSelectFd(st, tidFrame(c.first), fd, maxIter = 1).state
+      st = TestData.cleanSelect(st, tidFrame(c.first), fd, maxIter = 1)._1
     val answer = c.answerKind match {
       case 0 => tidFrame(c.subset)
       case 1 => st.filter(ProbData.qualifies(st, Pred("c", "=", s"c${c.value}"))).select("__tid")
@@ -90,18 +90,18 @@ class FdKernelDifferentialSpec extends SeededSpec {
     forSeeds(seeds) { seed =>
       val (st, answer, fd, maxIter) = input(seed)
       val (refState, refRelaxed, refFixes) = FdReference.cleanSelectFd(st, answer, fd, maxIter)
-      val out = CleanOps.cleanSelectFd(st, answer, fd, maxIter)
+      val (state, relaxed, fixes) = TestData.cleanSelect(st, answer, fd, maxIter)
       val ctx = s"seed $seed, fd ${fd.lhs.mkString(",")} -> ${fd.rhs}, maxIter $maxIter"
 
-      assert(tids(out.relaxed.tids) == tids(refRelaxed.tids), ctx)
-      assert(tids(out.relaxed.extraTids) == tids(refRelaxed.extraTids), ctx)
-      assert(out.relaxed.iterations == refRelaxed.iterations, ctx)
-      assert(out.relaxed.extraCount == refRelaxed.extraCount, ctx)
-      assert(out.fixes.nDirty == refFixes.nDirty, ctx)
-      assert(out.fixes.nDirtyGroups == refFixes.nDirtyGroups, ctx)
+      assert(tids(relaxed.tids) == tids(refRelaxed.tids), ctx)
+      assert(tids(relaxed.extraTids) == tids(refRelaxed.extraTids), ctx)
+      assert(relaxed.iterations == refRelaxed.iterations, ctx)
+      assert(relaxed.extraCount == refRelaxed.extraCount, ctx)
+      assert(fixes.nDirty == refFixes.nDirty, ctx)
+      assert(fixes.nDirtyGroups == refFixes.nDirtyGroups, ctx)
       val fixCols = fd.attrs.map(ProbData.fixCol)
-      assert(canon(out.fixes.fixes, fixCols) == canon(refFixes.fixes, fixCols), ctx)
-      assert(canonState(out.state) == canonState(refState), ctx)
+      assert(canon(fixes.fixes, fixCols) == canon(refFixes.fixes, fixCols), ctx)
+      assert(canonState(state) == canonState(refState), ctx)
     }
   }
 
@@ -112,7 +112,7 @@ class FdKernelDifferentialSpec extends SeededSpec {
       val answer = st.filter(ProbData.qualifies(st, Pred("c", "=", v))).select("__tid")
       val answerTids = tids(answer).toSet
       def answerFixes(maxIter: Int) = {
-        val fixes = CleanOps.cleanSelectFd(st, answer, fd, maxIter).fixes
+        val fixes = TestData.cleanSelect(st, answer, fd, maxIter)._3
         canon(fixes.fixes, fd.attrs.map(ProbData.fixCol)).filter { case (t, _) => answerTids(t) }
       }
       assert(answerFixes(1) == answerFixes(20), s"seed $seed")

@@ -136,13 +136,13 @@ class ProbDataSpec extends SparkSpec {
 
   test("candsToString renders value@prob pairs") {
     val s = probState.filter(col("__tid") === 4L)
-      .select(ProbData.candsToString("city").as("s")).collect().head.getString(0)
+      .select(TestData.candsToString("city").as("s")).collect().head.getString(0)
     assert(s == "New York@0.50|San Francisco@0.50")
   }
 
   test("candsToString of a clean cell is the base value") {
     val s = probState.filter(col("__tid") === 4L)
-      .select(ProbData.candsToString("zip").as("s")).collect().head.getString(0)
+      .select(TestData.candsToString("zip").as("s")).collect().head.getString(0)
     assert(s == "10001")
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
 /** Shared fixtures: the worked examples of the paper. */
@@ -78,6 +78,34 @@ object TestData {
           .sortBy(c => (Option(c._1), c._2))
         tid -> cands
       }.toMap
+  }
+
+  /** A candidate set rendered as a compact string such as
+    * "Los Angeles@0.67|San Francisco@0.33"; a clean cell renders as its
+    * base value.
+    */
+  def candsToString(attr: String): Column = {
+    import org.apache.spark.sql.functions._
+    val c = col(ProbData.candCol(attr))
+    when(c.isNull || size(c) === 0, col(attr).cast(StringType)).otherwise(
+      array_join(
+        transform(array_sort(c), x =>
+          concat(
+            when(x.getField("op") === "=", x.getField("v"))
+              .otherwise(concat(x.getField("op"), x.getField("v"))),
+            lit("@"), format_number(x.getField("p"), 2))),
+        "|"))
+  }
+
+  /** `clean_σ` of `fd` over the answer `tids` as Daisy runs it: the
+    * clean step on the rule's graph with the answer as its members.
+    * Returns the cleaned state, the relaxed result and the fixes.
+    */
+  def cleanSelect(state: DataFrame, tids: DataFrame, fd: Fd,
+                  maxIter: Int): (DataFrame, Relaxation.Relaxed, FdRepair.Fixes) = {
+    val g = FdGraph.collect(state, fd, FdGraph.memberOf(tids))
+    val (st, closure, fixes) = FdRepair.clean(g, maxIter)
+    (st, Relaxation.relaxed(g, closure), fixes)
   }
 
   /** tids of `df` as a sorted list. */

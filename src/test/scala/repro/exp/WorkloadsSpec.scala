@@ -91,7 +91,7 @@ class WorkloadsSpec extends SparkSpec {
 
     def canon(d: Daisy) = {
       val st = d.state("hospital")
-      Seq("zip", "city").foldLeft(st)((df, a) => df.withColumn(a + "_v", ProbData.candsToString(a)))
+      Seq("zip", "city").foldLeft(st)((df, a) => df.withColumn(a + "_v", TestData.candsToString(a)))
         .select("__tid", "zip_v", "city_v")
         .collect().map(_.toSeq.mkString("|")).sorted.toSeq
     }
