@@ -1,6 +1,6 @@
 package org.apache.spark.sql
 
-/** Stats-free eager materialization.
+/** Stats-free local checkpoints.
   *
   * `Dataset.localCheckpoint` in Spark 4 bakes the parent plan's
   * *estimated* statistics into the resulting `LogicalRDD`
@@ -11,17 +11,31 @@ package org.apache.spark.sql
   * checkpoint generation, until Catalyst spends minutes multiplying
   * million-digit BigIntegers during planning.
   *
-  * This helper materializes eagerly like `localCheckpoint(true)` but
-  * rebuilds the DataFrame directly from the checkpointed internal-row
-  * RDD, dropping the inherited statistics (the leaf then reports the
+  * This helper checkpoints like `localCheckpoint(eager)` but rebuilds
+  * the DataFrame directly from the checkpointed internal-row RDD,
+  * dropping the inherited statistics (the leaf then reports the
   * session's `spark.sql.defaultSizeInBytes`). It lives in the
   * `org.apache.spark.sql` package to reach the `private[sql]`
   * `internalCreateDataFrame`.
+  *
+  * An eager checkpoint runs one job now. A lazy one runs none: the first
+  * later action that reads the frame computes and stores its blocks and
+  * then truncates its lineage, and Spark's `LocalRDDCheckpointData` fills
+  * in any partition that action skipped. Until then the frame's lineage,
+  * and so its parents' blocks, must stay available.
   */
 object ReproCheckpoint {
-  def statsFree(df: Dataset[Row]): Dataset[Row] = {
+  def statsFree(df: Dataset[Row], eager: Boolean = true): Dataset[Row] = {
     val classicDf = df.asInstanceOf[classic.Dataset[Row]]
-    val ck = classicDf.localCheckpoint(true).asInstanceOf[classic.Dataset[Row]]
+    val ck = classicDf.localCheckpoint(eager).asInstanceOf[classic.Dataset[Row]]
     ck.sparkSession.internalCreateDataFrame(ck.queryExecution.toRdd, ck.schema)
+  }
+
+  /** Materializes a lazy [[statsFree]] checkpoint in place: one job over
+    * every partition of `df`, which stores the checkpoint's blocks.
+    */
+  def materialize(df: Dataset[Row]): Dataset[Row] = {
+    df.asInstanceOf[classic.Dataset[Row]].queryExecution.toRdd.count()
+    df
   }
 }

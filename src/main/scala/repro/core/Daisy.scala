@@ -47,6 +47,12 @@ final class Daisy(val spark: SparkSession,
 
   private val trackers = mutable.Map[(String, String), CostModel.Tracker]()
   private val dcRecords = mutable.Map[(String, String), Daisy.DcRecord]()
+  /** (table, FD) pairs whose rule left no unchecked tuple with a candidate
+    * lhs value in a dirty group: dirty-group pruning skips every later
+    * answer, so their steps collect nothing until another rule rewrites
+    * the table.
+    */
+  private val settled = mutable.Set[(String, String)]()
 
   /** Metrics of the most recent [[execute]] call. */
   var lastReport: ExecReport = new ExecReport(Planner.Plan(QuerySpec("-"), Nil, Nil), Nil, spark.emptyDataFrame)
@@ -62,6 +68,7 @@ final class Daisy(val spark: SparkSession,
     val rs = rules.getOrElse(table, Nil) :+ rule
     Rule.requireExclusiveDcAttrs(rs)
     rules(table) = rs
+    settled.filterInPlace(_._1 != table)
     // Extend the state schema with the new rule's candidate sidecars.
     val st = states(table)
     val fresh = rule.attrs.distinct
@@ -96,7 +103,7 @@ final class Daisy(val spark: SparkSession,
       // Read from the current state: before the join-side steps for the
       // join, after them for the re-join.
       def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
-      val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).materialized
+      val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).checkpointed
       // The joined rows' right tuples with their checked marks, collected once.
       lazy val rightChk = joined.select("__rtid", "__rchk").collect()
         .map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
@@ -114,7 +121,7 @@ final class Daisy(val spark: SparkSession,
       result =
         if (rules.isEmpty) joined
         else CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
-          j.leftKey, j.rightKey).materialized
+          j.leftKey, j.rightKey).checkpointed
     }
 
     // --- aggregation (cleaning already pushed below it) ------------
@@ -162,12 +169,21 @@ final class Daisy(val spark: SparkSession,
   /** `clean_σ` of `fd` over the tuples satisfying `answer`, from one
     * collection of the rule's value graph: the rule's statistics on its
     * first use, dirty-group pruning, relaxation and repair all run on
-    * the driver, followed by one rewrite of the state.
+    * the driver, followed by one rewrite of the state. A settled rule is
+    * pruned without the collection.
     */
   private def cleanSelectFd(table: String, fd: Fd, answer: Column,
                             where: Seq[Pred] = Nil): RuleReport = {
+    def pruned = RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = true, switchedToFull = false, None)
+    if (settled((table, fd.id))) {
+      trackers((table, fd.id)).register(0, 0, 0)
+      return pruned
+    }
     val g = FdGraph.collect(states(table), fd, answer)
     val tr = trackers.getOrElseUpdate((table, fd.id), new CostModel.Tracker(CostModel.statsOf(g)))
+    // A tuple the rule must still check: unchecked, with a candidate lhs
+    // value in a dirty group.
+    def open(s: FdGraph.Sig) = !s.checked && s.lvs.exists(tr.stats.dirtyLhs)
 
     // Lemma 1: a query whose rule-attribute filters all restrict the
     // rhs needs a single relaxation iteration; lhs filters need the
@@ -179,14 +195,17 @@ final class Daisy(val spark: SparkSession,
 
     // Dirty-group pruning (§7.1): skip the rule when the answer shares
     // no lhs value with any violating group that is still unchecked.
-    if (!g.sigs.exists(s => s.in && !s.checked && s.lvs.exists(tr.stats.dirtyLhs))) {
+    if (!g.sigs.exists(s => s.in && open(s))) {
       tr.register(0, 0, 0)
-      return RuleReport(table, fd.id, 0, 0, 0, skippedByPruning = true,
-        switchedToFull = false, None)
+      if (!g.sigs.exists(open)) settled += ((table, fd.id))
+      return pruned
     }
 
     val (st, closure, fixes) = FdRepair.clean(g, maxIter)
-    states(table) = st
+    write(table, fd.id, st)
+    // The rewrite changed and checked only the closure's unchecked
+    // tuples; the rest keep the signatures of `g`.
+    if (!g.sigs.exists(s => open(s) && !closure.contains(s))) settled += ((table, fd.id))
     tr.register(g.count(_.in), closure.extraCount, fixes.nDirty)
 
     var switched = false
@@ -206,9 +225,18 @@ final class Daisy(val spark: SparkSession,
   def fullCleanRemaining(table: String, fd: Fd): Long = {
     val g = FdGraph.collect(states(table), fd, !ProbData.checkedBy(fd.id))
     val (st, _, fixes) = FdRepair.clean(g, 0)
-    states(table) = st
+    write(table, fd.id, st)
     trackers.get((table, fd.id)).foreach(_.markSwitched())
     fixes.nDirty
+  }
+
+  /** Makes `st`, written by the rule `ruleId`, the state of `table`. It
+    * may have changed candidates that another rule reads, so no other
+    * rule of the table stays settled.
+    */
+  private def write(table: String, ruleId: String, st: DataFrame): Unit = {
+    states(table) = st
+    settled.filterInPlace { case (t, r) => t != table || r == ruleId }
   }
 
   // -------------------------------------------------------------------
@@ -257,7 +285,7 @@ final class Daisy(val spark: SparkSession,
     if (vios.size == rec.vios.size) rec
     else {
       val (st, touched) = DcRepair.clean(states(table), vios.values, dc, opts.maxFixAtoms)
-      states(table) = st
+      write(table, dc.id, st)
       rec.copy(vios = vios, touched = touched)
     }
   }

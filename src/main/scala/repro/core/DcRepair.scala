@@ -93,25 +93,20 @@ object DcRepair {
   }
 
   /** The state with the fixes of `fixes` replacing the candidate sets of
-    * the DC's attributes and the tuples of `marked` checked by `dc`,
-    * through one broadcast join of the state with a local table of one
-    * row per fixed or marked tuple. Replacing is exact: callers pass
-    * the fixes of every violation pair found so far, so a DC cell
-    * without a fix never had a DC candidate, and no other rule writes a
-    * DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
+    * the DC's attributes and the tuples of `marked` checked by `dc`, in
+    * one pass over the state that looks each tuple up by its tid.
+    * Replacing is exact: callers pass the fixes of every violation pair
+    * found so far, so a DC cell without a fix never had a DC candidate,
+    * and no other rule writes a DC attribute's candidates
+    * ([[Rule.requireExclusiveDcAttrs]]).
     */
   private def overwrite(state: DataFrame, fixes: Map[Long, Map[String, Seq[Row]]], marked: Set[Long],
                         dc: InequalityDc): DataFrame = {
-    val schema = StructType(StructField(tidC, LongType) +:
-      dc.attrs.map(a => StructField(ProbData.fixCol(a), ProbData.CandType)) :+
-      StructField("__mark", BooleanType))
-    val rows = (fixes.keySet ++ marked).toSeq.map { tid =>
-      val byAttr = fixes.getOrElse(tid, Map.empty)
-      Row.fromSeq(tid +: dc.attrs.map(byAttr.getOrElse(_, null)) :+ marked(tid))
+    val table: Map[Any, Seq[Seq[Row]]] = fixes.map { case (tid, byAttr) =>
+      tid -> dc.attrs.map(byAttr.getOrElse(_, null))
     }
-    val table = state.sparkSession.createDataFrame(rows.asJava, schema)
-    ProbData.applyFixTable(state.join(broadcast(table), Seq(tidC), "left"), state.columns.toSeq,
-      dc.attrs, dc.id, col("__mark"))((_, fix) => fix)
+    ProbData.applyFixTable(state, col(tidC), table, dc.attrs, dc.id,
+      ProbData.keyIn(state, col(tidC), marked.toSet[Any]))((_, fix) => fix)
   }
 
   /** [[overwrite]] with the fixes of `fixesDf` (rows of [[fixes]]) and the
@@ -129,12 +124,12 @@ object DcRepair {
 
   /** The DC clean path shared by Daisy and the offline cleaner: repairs
     * every pair of `violations` (from [[ThetaJoin.violationsOf]]) and
-    * marks the tuples of those pairs checked by `dc`. Returns the
-    * materialized state and the number of marked tuples.
+    * marks the tuples of those pairs checked by `dc`. Returns the lazily
+    * checkpointed state and the number of marked tuples.
     */
   def clean(state: DataFrame, violations: Iterable[ThetaJoin.Violation], dc: InequalityDc,
             maxFixAtoms: Int = 1): (DataFrame, Long) = {
     val touched = violations.iterator.flatMap(v => Iterator(v.tid1, v.tid2)).toSet
-    (overwrite(state, fixesOf(violations, dc, maxFixAtoms), touched, dc).materialized, touched.size.toLong)
+    (overwrite(state, fixesOf(violations, dc, maxFixAtoms), touched, dc).checkpointed, touched.size.toLong)
   }
 }

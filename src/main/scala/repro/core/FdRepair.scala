@@ -2,10 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.core.ProbData.MaterializeOps
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** FD violation detection and probabilistic repair (§4.1).
   *
@@ -32,28 +30,15 @@ import scala.jdk.CollectionConverters._
 object FdRepair {
 
   /** Computed fixes for a tuple subset: the fix table `keys`, one row
-    * per (lv, rv, dR, dL) key that receives a fix, for the tuples of
-    * `state` satisfying `subset`.
+    * (lv, rv, dR, dL, lhs fixes…, rhs fix) per key that receives a fix,
+    * for the tuples of the state satisfying `subset`.
     */
   final case class Fixes(
       /** Number of violating (dirty) tuples ε in the subset. */
       nDirty: Long,
       /** Number of violating lhs groups. */
       nDirtyGroups: Long,
-      private[core] state: DataFrame, private[core] fd: Fd,
-      private[core] keys: Seq[Row], private[core] subset: Column) {
-
-    private[core] lazy val byKey: DataFrame = state.sparkSession.createDataFrame(keys.asJava,
-      StructType(Seq(StructField("__lv", StringType), StructField("__rv", StringType),
-        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
-        (fd.lhs :+ fd.rhs).map(a => StructField(ProbData.fixCol(a), ProbData.CandType))))
-
-    /** (tid, attr-candidate columns) — one row per repaired tuple. */
-    lazy val fixes: DataFrame = keyed(state, fd, subset).join(broadcast(byKey), keyCond)
-      .select((col(tidC) +: (fd.lhs :+ fd.rhs).map(a => col(ProbData.fixCol(a)))): _*)
-  }
-
-  private val tidC = ProbData.TidCol
+      private[core] keys: Seq[Row], private[core] subset: Column)
 
   private def cand(v: String, p: Double, w: String, n: Long): Row = Row(v, "=", p, w, n)
 
@@ -115,8 +100,7 @@ object FdRepair {
       else Some(Row.fromSeq(Seq(lv, rv, dR, dL) ++ lhsParts(fd, fixL) :+ fixR))
     }
 
-    Fixes(g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size, g.state, fd, rows,
-      subset)
+    Fixes(g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size, rows, subset)
   }
 
   /** Splits concatenated lhs candidates into per-attribute candidate
@@ -134,16 +118,6 @@ object FdRepair {
           c.getDouble(2), c.getString(3), c.getLong(4))), null)
     }
 
-  /** The state with the fix-table key of every tuple and its subset flag. */
-  private def keyed(state: DataFrame, fd: Fd, subset: Column): DataFrame =
-    state.select(col("*"), FdGraph.baseLhs(fd).as("__klv"), FdGraph.baseRhs(fd).as("__krv"),
-      FdGraph.dirtyFlag(state, fd.rhs).as("__kdR"), FdGraph.dirtyLhsFlag(state, fd).as("__kdL"),
-      subset.as("__ksub"))
-
-  private val keyCond: Column =
-    col("__klv") === col("__lv") && col("__krv") <=> col("__rv") &&
-      col("__kdR") === col("__dR") && col("__kdL") === col("__dL") && col("__ksub")
-
   /** Applies `fixes` to the state: merges new candidate sets into the
     * sidecar columns (union semantics of §4.3) and marks every tuple
     * of `subsetTids` as checked by `fd`. Base columns are untouched —
@@ -152,19 +126,25 @@ object FdRepair {
   def applyFixes(state: DataFrame, fixes: Fixes, subsetTids: DataFrame, fd: Fd): DataFrame =
     rewrite(state, fd, fixes, FdGraph.memberOf(subsetTids))
 
-  /** The one state rewrite of the FD clean path: a broadcast join with
-    * the fix table merges the fixes of the fixed subset into the
-    * candidate sets (union semantics of §4.3), and the tuples satisfying
-    * `mark` become checked by `fd`.
+  /** The one state rewrite of the FD clean path: the fixes of the
+    * fixed subset, looked up by each tuple's (lv, rv, dR, dL) key, merge
+    * into its candidate sets (union semantics of §4.3), and the tuples
+    * satisfying `mark` become checked by `fd`.
     */
-  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame =
-    ProbData.applyFixTable(keyed(state, fd, fixes.subset).join(broadcast(fixes.byKey), keyCond, "left"),
-      state.columns.toSeq, fd.lhs :+ fd.rhs, fd.id, mark)(ProbData.mergeCands(_, _))
+  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame = {
+    val key = struct(FdGraph.baseLhs(fd), FdGraph.baseRhs(fd), FdGraph.dirtyFlag(state, fd.rhs),
+      FdGraph.dirtyLhsFlag(state, fd))
+    val table: Map[Any, Seq[Seq[Row]]] = fixes.keys.map(r => Row(r(0), r(1), r(2), r(3)) -> r.toSeq.drop(4)
+      .map(_.asInstanceOf[Seq[Row]])).toMap
+    ProbData.applyFixTable(state, when(fixes.subset, key), table, fd.lhs :+ fd.rhs, fd.id, mark)(
+      ProbData.mergeCandSeqs)
+  }
 
   /** The one FD clean step (§4.1): relaxes the graph's members with
     * Algorithm 1 bounded by `maxIter`, detects and repairs the relaxed
     * tuples the rule has not checked yet, and marks them checked, with
-    * one materialized rewrite of the graph's state. Tuples already
+    * one rewrite of the graph's state, checkpointed lazily: the next
+    * action that reads the state stores it. Tuples already
     * checked by the rule are left out of the repair statistics: their
     * candidate sets already reflect it. With `maxIter = 0` the closure
     * is the members alone, which is how full cleaning calls it, on a
@@ -174,13 +154,13 @@ object FdRepair {
     val closure = Relaxation.closure(g, maxIter)
     val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
     val fixes = fixesOf(g, s => closure.contains(s) && !s.checked, subset)
-    (rewrite(g.state, g.fd, fixes, subset).materialized, closure, fixes)
+    (rewrite(g.state, g.fd, fixes, subset).checkpointed, closure, fixes)
   }
 
   /** The per-group form of [[clean]] (§5.2.1's pass per erroneous
     * group): one signature collection and driver-side fixes for each
     * lhs value of `lvs` until `stop` holds after a group, then one
-    * materialized rewrite that merges the processed groups' fixes and
+    * lazily checkpointed rewrite that merges the processed groups' fixes and
     * marks their tuples checked. Fixes read base values only, so on
     * those tuples the state equals full cleaning's. `nDirtyGroups` of the
     * returned fixes counts the processed groups.
@@ -192,7 +172,7 @@ object FdRepair {
       parts += fixesOf(g, _.in, g.member)
     }
     val subset = FdGraph.baseLhs(fd).isin(lvs.take(parts.size): _*)
-    val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, state, fd, parts.flatMap(_.keys).toSeq, subset)
-    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset).materialized, fixes)
+    val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, parts.flatMap(_.keys).toSeq, subset)
+    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset).checkpointed, fixes)
   }
 }

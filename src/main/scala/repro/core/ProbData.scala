@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.api.java.UDF2
+import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, Row}
+import org.apache.spark.sql.api.java.{UDF1, UDF2}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -37,13 +37,22 @@ object ProbData {
   val TidCol  = "__tid"
   val ChkCol  = "__chk"
 
-  /** Eager, stats-free materialization — used instead of
-    * `localCheckpoint(true)` everywhere (see
-    * [[org.apache.spark.sql.ReproCheckpoint]] for why inherited
-    * statistics must be dropped).
+  /** Stats-free local checkpoints, used instead of `localCheckpoint`
+    * everywhere (see [[org.apache.spark.sql.ReproCheckpoint]] for why
+    * inherited statistics must be dropped).
     */
   implicit final class MaterializeOps(private val df: DataFrame) extends AnyVal {
-    def materialized: DataFrame = org.apache.spark.sql.ReproCheckpoint.statsFree(df)
+    /** Eager: one Spark job now. */
+    def materialized: DataFrame = ReproCheckpoint.statsFree(df)
+
+    /** Lazy: no job now; the first action that reads the frame stores it
+      * and truncates its lineage. A state that the next step collects
+      * anyway is checkpointed this way, so it costs no job of its own.
+      */
+    def checkpointed: DataFrame = ReproCheckpoint.statsFree(df, eager = false)
+
+    /** This [[checkpointed]] frame, stored now by one job. */
+    def forced: DataFrame = ReproCheckpoint.materialize(df)
   }
 
   val CandStruct: StructType = StructType(Seq(
@@ -120,10 +129,6 @@ object ProbData {
     * Commutative and associative (Lemma 4). Null-tolerant: merging
     * with a clean side returns the other side unchanged.
     */
-  private val mergeUdf2 = new UDF2[Seq[Row], Seq[Row], Seq[Row]] {
-    override def call(a: Seq[Row], b: Seq[Row]): Seq[Row] = mergeCandSeqs(a, b)
-  }
-
   private[core] def mergeCandSeqs(a: Seq[Row], b: Seq[Row]): Seq[Row] = {
     val xs = (Option(a).getOrElse(Nil) ++ Option(b).getOrElse(Nil))
     if (xs.isEmpty) null
@@ -138,9 +143,6 @@ object ProbData {
     }
   }
 
-  val mergeCands: org.apache.spark.sql.expressions.UserDefinedFunction =
-    udf(mergeUdf2, CandType)
-
   /** Canonical form for assertions: candidates sorted, probabilities
     * rounded — lets tests compare candidate sets deterministically.
     */
@@ -154,25 +156,38 @@ object ProbData {
           x.getField("n").as("n"))))))
   }
 
-  /** Column name carrying the new candidate set of attribute `a` in a
-    * fix table.
-    */
-  def fixCol(a: String): String = s"__fix_$a"
-
-  /** The one candidate-apply step of every rule (§4.3). `joined` is the
-    * state left-joined with a fix table holding a [[fixCol]] per
-    * attribute of `attrs`; a tuple with a fix for `a` gets
+  /** The one candidate-apply step of every rule (§4.3). `fixes` is a
+    * driver-side fix table: per fix key, the new candidate sets of
+    * `attrs` in that order, null for an attribute without a fix. It
+    * reaches the tasks as a broadcast variable, which runs no Spark job.
+    * A tuple whose `key` (null: no fix) has a fix for `a` gets
     * `update(old, fix)` as the candidate set of `a`, a tuple satisfying
     * `mark` becomes checked by `ruleId`, and the result has the state's
-    * `columns`. Every expression reads the joined row before the update.
+    * columns. Every expression reads the row before the update.
     */
-  def applyFixTable(joined: DataFrame, columns: Seq[String], attrs: Seq[String], ruleId: String,
-                    mark: Column)(update: (Column, Column) => Column): DataFrame = {
-    val updated = attrs.map { a =>
-      val (cc, fc) = (col(candCol(a)), col(fixCol(a)))
-      candCol(a) -> when(fc.isNull, cc).otherwise(update(cc, fc))
+  def applyFixTable(state: DataFrame, key: Column, fixes: Map[Any, Seq[Seq[Row]]], attrs: Seq[String],
+                    ruleId: String, mark: Column)(update: (Seq[Row], Seq[Row]) => Seq[Row]): DataFrame = {
+    val table = state.sparkSession.sparkContext.broadcast(fixes)
+    val updated = attrs.indices.map { i =>
+      def fixOf(k: Any): Seq[Row] = if (k == null) null else table.value.get(k).map(_(i)).orNull
+      val hasFix = udf(new UDF1[Any, Boolean] { def call(k: Any): Boolean = fixOf(k) != null }, BooleanType)
+      val fixed = udf(new UDF2[Any, Seq[Row], Seq[Row]] {
+        def call(k: Any, old: Seq[Row]): Seq[Row] = update(old, fixOf(k))
+      }, CandType)
+      val cc = col(candCol(attrs(i)))
+      // `hasFix` first: a cell without a fix is kept without converting it.
+      candCol(attrs(i)) -> when(hasFix(key), fixed(key, cc)).otherwise(cc)
     }.toMap + (ChkCol -> when(mark, array_union(col(ChkCol), array(lit(ruleId)))).otherwise(col(ChkCol)))
-    joined.select(columns.map(c => updated.get(c).fold(col(c))(_.as(c))): _*)
+    state.select(state.columns.toSeq.map(c => updated.get(c).fold(col(c))(_.as(c))): _*)
+  }
+
+  /** True for the tuples whose `key` is in `keys`, shipped as a broadcast
+    * variable: unlike an `isin` list, the plan's code does not change
+    * with the keys, so it compiles once.
+    */
+  def keyIn(state: DataFrame, key: Column, keys: Set[Any]): Column = {
+    val set = state.sparkSession.sparkContext.broadcast(keys)
+    udf(new UDF1[Any, Boolean] { def call(k: Any): Boolean = set.value(k) }, BooleanType)(key)
   }
 
   /** True for tuples already checked by `ruleId`. */

@@ -55,7 +55,9 @@ object OfflineCleaner {
           dcPartitions: Int = 64): Result = {
     Rule.requireExclusiveDcAttrs(rules)
     val t0 = System.nanoTime()
-    var state = ProbData.init(df, rules).materialized
+    // Each step's state is checkpointed lazily: the next step's collection
+    // stores it, and the final state is stored before the clock stops.
+    var state = ProbData.init(df, rules).checkpointed
     var timedOut = false
     var done = 0L
     var total = 0L
@@ -82,7 +84,7 @@ object OfflineCleaner {
         val pairs = ThetaJoin.candidatePairs(dc, buck.stats)
         state = DcRepair.clean(state, ThetaJoin.violationsOf(buck.points, _ => false, dc, pairs), dc)._1
     }
-    Result(state, (System.nanoTime() - t0) / 1e9, timedOut, done, total)
+    Result(state.forced, (System.nanoTime() - t0) / 1e9, timedOut, done, total)
   }
 
 }

@@ -7,30 +7,31 @@ import repro.SparkSpec
 import repro.data.{Hospital, SSB}
 import repro.offline.OfflineCleaner
 
-/** Spark jobs per `Daisy.execute`, which runs only the jobs of the
-  * cleaning and of a materialized join: it leaves the result to the
-  * caller and counts it only when `ExecReport.resultRows` is read (one
-  * job). On the FD clean path: one signature collection, the broadcast
-  * of the fix table and one materialized state rewrite for a cleaned
-  * query; the collection alone for a pruned one; none once the rule has
-  * switched to full cleaning, which checked every tuple. On the DC path: one
-  * collection of the answer's tids, which on the rule's first use also
-  * carries the DC attributes of every tuple for the bucketization, then
-  * the broadcast of the fix table and one materialized state rewrite
-  * (detection and repair run on the driver); a query whose detection
-  * finds no new pair rewrites nothing.
-  * An SPJ query runs the materialized join (its right part broadcast,
-  * one job), the collection of its lineage (the right tids with their
-  * checked marks) and the join-side steps, and re-joins the right tuples
-  * once only when a join-side step was not pruned. Its joins run no
-  * shuffle, so the SPJ tests bound stages too.
-  * The offline cleaner's per-group mode runs one signature collection
-  * per dirty group plus a constant (the initial materialization, the
-  * detection, one rewrite and the clean-group pass), the O(ε·n) shape
-  * Table 8 depends on. Its DC branch runs the initial materialization,
-  * the collection of the points, the broadcast and one rewrite. The
-  * bounds keep a return to per-iteration or per-intermediate jobs, to a
-  * second detection or to DataFrame bookkeeping from passing unnoticed.
+/** Spark jobs per `Daisy.execute`, which runs one job per driver-side
+  * collection and leaves the result to the caller: states and joins are
+  * checkpointed lazily, so the next collection stores them, and fix
+  * tables reach the tasks as broadcast variables, which run no job.
+  * Where a test counts the answer's collection too, that is one more job,
+  * and `ExecReport.resultRows` counts the result in one job on its first
+  * read. On the FD clean path: one signature collection for a cleaned or
+  * a pruned query; none for a settled rule, one with no unchecked tuple
+  * left in a dirty group, until another rule rewrites the table; none
+  * once the rule has switched to full cleaning, which checked every
+  * tuple. On the DC path: one collection of the answer's tids, which on
+  * the rule's first use also carries the DC attributes of every tuple for
+  * the bucketization (detection and repair run on the driver).
+  * An SPJ query runs the broadcast of the join's right part, the
+  * collection of its lineage (the right tids with their checked marks)
+  * and the join-side steps, and re-joins the right tuples once only when
+  * a join-side step was not pruned. Its joins run no shuffle, so the SPJ
+  * tests bound stages too.
+  * The offline cleaner's Bulk mode runs the collection of the graph or
+  * the points and the store of its final state; its per-group mode one
+  * signature collection per dirty group plus a constant (the detection,
+  * the clean-group pass and the final store), the O(ε·n) shape Table 8
+  * depends on. The bounds keep a return to per-iteration or
+  * per-intermediate jobs, to a second detection, to jobs that collect
+  * nothing or to DataFrame bookkeeping from passing unnoticed.
   */
 class DaisyJobCountSpec extends SparkSpec {
 
@@ -55,22 +56,29 @@ class DaisyJobCountSpec extends SparkSpec {
 
   private def jobsOf[A](f: => A): (A, Int) = { val (a, jobs, _) = countsOf(f); (a, jobs) }
 
-  test("φ1 on a small hospital table: a cleaned query runs ≤ 3 jobs, a pruned one ≤ 1") {
+  test("φ1 on hospital: a cleaned query runs ≤ 2 jobs, a settled one 1") {
     val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
       nTie = 4, nMinority = 4, nZipErr = 4)
     val daisy = Daisy.single(spark, "hospital", data.dirty, Seq(Hospital.Phi1))
     val select = Seq("zip", "city", "provider_id")
+    val rest = QuerySpec("hospital", where = Seq(Pred("hospital_type", "=", "type_1")), select = select)
 
     val (_, cleaned) = jobsOf(daisy.execute(QuerySpec("hospital",
-      where = Seq(Pred("hospital_type", "!=", "type_1")), select = select)))
+      where = Seq(Pred("hospital_type", "!=", "type_1")), select = select)).collect())
     val first = daisy.lastReport.perRule.head
     assert(!first.skippedByPruning && first.iterations > 1)
-    assert(cleaned <= 3, s"cleaned query ran $cleaned jobs")
+    assert(cleaned <= 2, s"cleaned query ran $cleaned jobs")
 
-    val (_, pruned) = jobsOf(daisy.execute(QuerySpec("hospital",
-      where = Seq(Pred("hospital_type", "=", "type_1")), select = select)))
+    val (_, pruned) = jobsOf(daisy.execute(rest).collect())
     assert(daisy.lastReport.perRule.head.skippedByPruning)
-    assert(pruned <= 1, s"pruned query ran $pruned jobs")
+    assert(pruned <= 2, s"pruned query ran $pruned jobs")
+
+    // The two queries cover the table: φ1 has no unchecked dirty tuple
+    // left, so its later steps are pruned without a collection.
+    val (res, inExecute) = jobsOf(daisy.execute(rest))
+    assert(daisy.lastReport.perRule.head.skippedByPruning)
+    assert(inExecute == 0, s"a settled rule's step ran $inExecute jobs")
+    assert(jobsOf(res.collect())._2 == 1)
   }
 
   test("φ1 after the switch to full cleaning: a later query runs no clean job") {
@@ -92,6 +100,38 @@ class DaisyJobCountSpec extends SparkSpec {
     assert(daisy.state("hospital") eq before, "the query replaced the state")
   }
 
+  test("another rule's rewrite of the table clears a settled mark") {
+    // φ1 zip → city is violated on z1 only; φ3 phone → zip on p2, whose
+    // tuples φ1's first query does not reach.
+    val df = spark.createDataFrame(Seq(
+        (0L, "z1", "A", "p1", "a"), (1L, "z1", "A", "p1", "a"), (2L, "z1", "B", "p1", "a"),
+        (3L, "z2", "C", "p2", "b"), (4L, "z2x", "C", "p2", "b")))
+      .toDF("__tid", "zip", "city", "phone", "grp")
+    val (phi1, phi3) = (Hospital.Phi1, Hospital.Phi3)
+    val d = Daisy.single(spark, "t", df, Seq(phi1, phi3))
+    def query(grp: String, attr: String) = QuerySpec("t", where = Seq(Pred("grp", "=", grp)), select = Seq(attr))
+    def phi1Pruned = d.lastReport.perRule.map(r => r.ruleId -> r.skippedByPruning) == Seq(phi1.id -> true)
+
+    d.execute(query("a", "city"))
+    assert(d.lastReport.perRule.map(_.dirty) == Seq(3))
+    val (_, settled) = jobsOf(d.execute(query("b", "city")))
+    assert(phi1Pruned && settled == 0, s"φ1 settled, yet its step ran $settled jobs")
+
+    d.execute(query("b", "phone"))
+    val rewritten = d.state("t").filter(!ProbData.checkedBy(phi1.id) && ProbData.isDirty("zip"))
+    assert(TestData.tids(rewritten.select(ProbData.TidCol)) == Seq(3L, 4L))
+    val (_, again) = jobsOf(d.execute(query("b", "city")))
+    assert(phi1Pruned && again == 1, s"φ1's step after φ3's rewrite ran $again jobs")
+
+    // Both rules over the whole table.
+    d.execute(QuerySpec("t", select = Seq("zip", "city", "phone")))
+    val offline = OfflineCleaner.run(df, Seq(phi1, phi3)).state
+    def cands(st: org.apache.spark.sql.DataFrame) = Seq("zip", "city", "phone")
+      .foldLeft(st)(ProbData.canonCands).select("__tid", "zip__c", "city__c", "phone__c")
+      .collect().map(_.toString).sorted.toSeq
+    assert(cands(d.state("t")) == cands(offline))
+  }
+
   test("price/discount DC on a small lineorder table: one detection per cleaned query") {
     val data = SSB.lineorder(spark, nRows = 400, nOrderkeys = 20, nSuppkeys = 10,
       discountErrPct = 0.05)
@@ -103,9 +143,9 @@ class DaisyJobCountSpec extends SparkSpec {
     // Algorithm 2 switches the first query to full cleaning; afterwards
     // every bucket is seen, so a later query needs no detection.
     val daisy = Daisy.single(spark, "lo", data.dirty, Seq(dc))
-    val (_, full) = jobsOf(daisy.execute(band(23400)))
+    val (_, full) = jobsOf(daisy.execute(band(23400)).collect())
     assert(daisy.lastReport.perRule.head.switchedToFull)
-    assert(full <= 3, s"full-cleaning query ran $full jobs")
+    assert(full <= 2, s"full-cleaning query ran $full jobs")
     val (_, afterFull) = jobsOf(daisy.execute(band(45900)))
     assert(!daisy.lastReport.perRule.head.switchedToFull)
     assert(afterFull <= 1, s"query after full cleaning ran $afterFull jobs")
@@ -114,18 +154,24 @@ class DaisyJobCountSpec extends SparkSpec {
     // the second query detects over its new tuples only.
     val partial = Daisy.single(spark, "lo", data.dirty, Seq(dc), DaisyOptions(dcThreshold = 1.1))
     val (_, first) = jobsOf(partial.execute(band(23400)))
-    assert(first <= 3, s"first partial query ran $first jobs")
+    assert(first <= 1, s"first partial query ran $first jobs")
     val (_, second) = jobsOf(partial.execute(band(45900)))
     assert(partial.lastReport.perRule.head.dirty > 0)
-    assert(second <= 3, s"second partial query ran $second jobs")
+    assert(second <= 1, s"second partial query ran $second jobs")
   }
 
-  test("offline cleaning of a DC runs four jobs") {
-    val data = SSB.lineorder(spark, nRows = 400, nOrderkeys = 20, nSuppkeys = 10,
-      discountErrPct = 0.05)
-    val (res, jobs) = jobsOf(OfflineCleaner.run(data.dirty, Seq(SSB.PriceDiscountDc)))
-    assert(res.state.filter(ProbData.checkedBy(SSB.PriceDiscountDc.id)).count() > 0)
-    assert(jobs <= 4, s"offline DC cleaning ran $jobs jobs")
+  test("offline Bulk cleaning of an FD or a DC runs two jobs") {
+    val lineorder = SSB.lineorder(spark, nRows = 400, nOrderkeys = 20, nSuppkeys = 10,
+      discountErrPct = 0.05).dirty
+    val hospital = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
+      nTie = 4, nMinority = 4, nZipErr = 4).dirty
+    for ((df, rule) <- Seq(lineorder -> SSB.PriceDiscountDc, hospital -> Hospital.Phi1)) {
+      // The collection of the graph or the points, and the store of the
+      // final state, which the run's clock includes.
+      val (res, jobs) = jobsOf(OfflineCleaner.run(df, Seq(rule)))
+      assert(jobs == 2, s"offline cleaning of ${rule.id} ran $jobs jobs")
+      assert(res.state.filter(ProbData.checkedBy(rule.id)).count() > 0)
+    }
   }
 
   test("an SPJ query whose join-side rule is pruned re-joins nothing") {
@@ -137,8 +183,8 @@ class DaisyJobCountSpec extends SparkSpec {
       join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter")))))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(true))
     assert(d.lastReport.resultRows == 2)
-    assert(jobs <= 4, s"SPJ query with a pruned join-side rule ran $jobs jobs")
-    assert(stages <= 4, s"SPJ query with a pruned join-side rule ran $stages stages")
+    assert(jobs <= 3, s"SPJ query with a pruned join-side rule ran $jobs jobs")
+    assert(stages <= 3, s"SPJ query with a pruned join-side rule ran $stages stages")
   }
 
   test("an SPJ query that cleans both sides re-joins once") {
@@ -151,8 +197,8 @@ class DaisyJobCountSpec extends SparkSpec {
       join = Some(JoinSpec("emp", "zip", "ezip")))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
     assert(d.lastReport.resultRows == 4)
-    assert(jobs <= 12, s"SPJ query that re-joins ran $jobs jobs")
-    assert(stages <= 12, s"SPJ query that re-joins ran $stages stages")
+    assert(jobs <= 6, s"SPJ query that re-joins ran $jobs jobs")
+    assert(stages <= 6, s"SPJ query that re-joins ran $stages stages")
   }
 
   test("resultRows counts each query's own result in one job, on first read") {

@@ -228,20 +228,25 @@ object DcReference {
 
   /** Applies DC fixes to the state: the per-attribute fixes replace the
     * candidate sets of the DC's attributes, and `checkedTids` are marked
-    * checked by `dc`, through one broadcast join of the state with a
-    * table of one row per fixed or marked tuple. Replacing is exact:
-    * callers pass the fixes of every violation pair found so far, so a
-    * DC cell without a fix never had a DC candidate, and no other rule
-    * writes a DC attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
+    * checked by `dc`, through one join of the state with a table of one
+    * row per fixed or marked tuple. Replacing is exact: callers pass the
+    * fixes of every violation pair found so far, so a DC cell without a
+    * fix never had a DC candidate, and no other rule writes a DC
+    * attribute's candidates ([[Rule.requireExclusiveDcAttrs]]).
     */
   def applyFixes(state: DataFrame, fixesDf: DataFrame, checkedTids: DataFrame,
                           dc: InequalityDc): DataFrame = {
     val perAttr = dc.attrs.map(a =>
-      first(when(col("attr") === a, col("cands")), ignoreNulls = true).as(ProbData.fixCol(a)))
+      first(when(col("attr") === a, col("cands")), ignoreNulls = true).as(TestData.fixCol(a)))
     val table = fixesDf.groupBy(tidC).agg(perAttr.head, perAttr.tail: _*)
       .join(checkedTids.toDF(tidC).distinct().withColumn("__mark", lit(true)), Seq(tidC), "full_outer")
-    ProbData.applyFixTable(state.join(broadcast(table), Seq(tidC), "left"), state.columns.toSeq,
-      dc.attrs, dc.id, col("__mark"))((_, fix) => fix)
+    val updated = dc.attrs.map { a =>
+      val (cc, fc) = (col(ProbData.candCol(a)), col(TestData.fixCol(a)))
+      ProbData.candCol(a) -> when(fc.isNull, cc).otherwise(fc)
+    }.toMap + (ProbData.ChkCol -> when(col("__mark"),
+      array_union(col(ProbData.ChkCol), array(lit(dc.id)))).otherwise(col(ProbData.ChkCol)))
+    state.join(table, Seq(tidC), "left")
+      .select(state.columns.toSeq.map(c => updated.get(c).fold(col(c))(_.as(c))): _*)
   }
 
 }

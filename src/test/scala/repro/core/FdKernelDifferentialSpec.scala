@@ -99,8 +99,8 @@ class FdKernelDifferentialSpec extends SeededSpec {
       assert(relaxed.extraCount == refRelaxed.extraCount, ctx)
       assert(fixes.nDirty == refFixes.nDirty, ctx)
       assert(fixes.nDirtyGroups == refFixes.nDirtyGroups, ctx)
-      val fixCols = fd.attrs.map(ProbData.fixCol)
-      assert(canon(fixes.fixes, fixCols) == canon(refFixes.fixes, fixCols), ctx)
+      val fixCols = fd.attrs.map(TestData.fixCol)
+      assert(canon(FdReference.fixTable(st, fd, fixes), fixCols) == canon(refFixes.fixes, fixCols), ctx)
       assert(canonState(state) == canonState(refState), ctx)
     }
   }
@@ -113,7 +113,7 @@ class FdKernelDifferentialSpec extends SeededSpec {
       val answerTids = tids(answer).toSet
       def answerFixes(maxIter: Int) = {
         val fixes = TestData.cleanSelect(st, answer, fd, maxIter)._3
-        canon(fixes.fixes, fd.attrs.map(ProbData.fixCol)).filter { case (t, _) => answerTids(t) }
+        canon(FdReference.fixTable(st, fd, fixes), fd.attrs.map(TestData.fixCol)).filter { case (t, _) => answerTids(t) }
       }
       assert(answerFixes(1) == answerFixes(20), s"seed $seed")
     }

@@ -1,8 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.api.java.UDF2
+import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.ProbData.MaterializeOps
+import repro.core.TestData.fixCol
+import scala.jdk.CollectionConverters._
 
 /** Reference implementation of the FD clean path as DataFrame fixpoint
   * loops: Algorithm 1 by iterated semi-joins over candidate-value views
@@ -16,6 +21,30 @@ object FdReference {
   final case class RefFixes(fixes: DataFrame, nDirty: Long, nDirtyGroups: Long)
 
   private val tidC = ProbData.TidCol
+
+  /** [[ProbData.mergeCandSeqs]] as a Spark function. */
+  val mergeCands: UserDefinedFunction = udf(new UDF2[Seq[Row], Seq[Row], Seq[Row]] {
+    override def call(a: Seq[Row], b: Seq[Row]): Seq[Row] = ProbData.mergeCandSeqs(a, b)
+  }, ProbData.CandType)
+
+  /** The kernel's fixes in the form of [[RefFixes]]: (tid, fix columns),
+    * one row per tuple of `state` in the fixed subset whose
+    * (lv, rv, dR, dL) key has a row in the fix table; a null rv key
+    * matches a null rv.
+    */
+  def fixTable(state: DataFrame, fd: Fd, fixes: FdRepair.Fixes): DataFrame = {
+    val fixCols = (fd.lhs :+ fd.rhs).map(fixCol)
+    val byKey = state.sparkSession.createDataFrame(fixes.keys.asJava,
+      StructType(Seq(StructField("__lv", StringType), StructField("__rv", StringType),
+        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
+        fixCols.map(StructField(_, ProbData.CandType))))
+    state.select(col(tidC), FdGraph.baseLhs(fd).as("__klv"), FdGraph.baseRhs(fd).as("__krv"),
+        FdGraph.dirtyFlag(state, fd.rhs).as("__kdR"), FdGraph.dirtyLhsFlag(state, fd).as("__kdL"),
+        fixes.subset.as("__ksub"))
+      .join(byKey, col("__klv") === col("__lv") && col("__krv") <=> col("__rv") &&
+        col("__kdR") === col("__dR") && col("__kdL") === col("__dL") && col("__ksub"))
+      .select((col(tidC) +: fixCols.map(col)): _*)
+  }
 
   /** (tid, lv) — every candidate lhs value of every tuple; multi-attr
     * lhs values are concatenated with [[Relaxation.Sep]].
@@ -143,7 +172,7 @@ object FdReference {
 
     var fixes = dirtyTuples
       .join(multiR, Seq("rv"), "left")
-      .select(col(tidC), col("rhsCands").as(ProbData.fixCol(fd.rhs)), col("lvCands"))
+      .select(col(tidC), col("rhsCands").as(fixCol(fd.rhs)), col("lvCands"))
 
     // Confirmations (§4.3): a rule also contributes its conditional
     // distribution to cells that *other* rules already made
@@ -163,24 +192,24 @@ object FdReference {
       .join(groupTot, "lv")
       .select(col(tidC),
         array(struct(col("rv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
-          lit("R").as("w"), col("tot").cast("long").as("n"))).as(ProbData.fixCol(fd.rhs)),
+          lit("R").as("w"), col("tot").cast("long").as("n"))).as(fixCol(fd.rhs)),
         lit(null).cast(ProbData.CandType).as("lvCands"))
     val lhsConf = if (fd.lhs.size == 1) {
       g.join(dirtyFlags, tidC).filter(col("__dL"))
         .join(multiR.select("rv"), Seq("rv"), "left_anti")
         .join(pairCntCtx, Seq("lv", "rv"))
         .select(col(tidC),
-          lit(null).cast(ProbData.CandType).as(ProbData.fixCol(fd.rhs)),
+          lit(null).cast(ProbData.CandType).as(fixCol(fd.rhs)),
           array(struct(col("lv").as("v"), lit("=").as("op"), lit(1.0).as("p"),
             lit("L").as("w"), col("cnt").cast("long").as("n"))).as("lvCands"))
     } else rhsConf.limit(0)
     val confirmations = rhsConf.unionByName(lhsConf)
       .groupBy(tidC).agg(
-        first(col(ProbData.fixCol(fd.rhs)), ignoreNulls = true).as(ProbData.fixCol(fd.rhs)),
+        first(col(fixCol(fd.rhs)), ignoreNulls = true).as(fixCol(fd.rhs)),
         first(col("lvCands"), ignoreNulls = true).as("lvCands"))
     fixes = fixes.unionByName(confirmations)
       .groupBy(tidC).agg(
-        first(col(ProbData.fixCol(fd.rhs)), ignoreNulls = true).as(ProbData.fixCol(fd.rhs)),
+        first(col(fixCol(fd.rhs)), ignoreNulls = true).as(fixCol(fd.rhs)),
         first(col("lvCands"), ignoreNulls = true).as("lvCands"))
 
     // Split concatenated lhs candidates into per-attribute candidate
@@ -190,16 +219,16 @@ object FdReference {
     // rule exercises — its repairs are rhs-side.
     val k = fd.lhs.size
     if (k == 1) {
-      fixes = fixes.withColumnRenamed("lvCands", ProbData.fixCol(fd.lhs.head))
+      fixes = fixes.withColumnRenamed("lvCands", fixCol(fd.lhs.head))
     } else {
       for ((a, i) <- fd.lhs.zipWithIndex) {
         val parts = transform(col("lvCands"), c => struct(
           element_at(split(c.getField("v"), Relaxation.Sep), i + 1).as("v"),
           c.getField("op").as("op"), c.getField("p").as("p"),
           c.getField("w").as("w"), c.getField("n").as("n")))
-        fixes = fixes.withColumn(ProbData.fixCol(a),
+        fixes = fixes.withColumn(fixCol(a),
           when(col("lvCands").isNull, lit(null).cast(ProbData.CandType))
-            .otherwise(ProbData.mergeCands(parts, lit(null).cast(ProbData.CandType))))
+            .otherwise(mergeCands(parts, lit(null).cast(ProbData.CandType))))
       }
       fixes = fixes.drop("lvCands")
     }
@@ -215,11 +244,11 @@ object FdReference {
   def applyFixes(state: DataFrame, fixes: RefFixes, subsetTids: DataFrame, fd: Fd): DataFrame = {
     var out = state.join(fixes.fixes, Seq(tidC), "left")
     for (a <- fd.lhs :+ fd.rhs) {
-      val fixC = ProbData.fixCol(a)
+      val fixC = fixCol(a)
       val cc   = ProbData.candCol(a)
       out = out.withColumn(cc,
         when(col(fixC).isNull, col(cc))
-          .otherwise(ProbData.mergeCands(col(cc), col(fixC))))
+          .otherwise(mergeCands(col(cc), col(fixC))))
         .drop(fixC)
     }
     markChecked(out, subsetTids, fd.id)

@@ -20,6 +20,11 @@ object TestData {
 
   val cityFd: Fd = Fd("fd_zip_city", "zip", "city")
 
+  /** Column name carrying the new candidate set of attribute `a` in the
+    * reference fix tables.
+    */
+  def fixCol(a: String): String = s"__fix_$a"
+
   /** A dirty zip group whose cities are `a`, `b` and null, and a clean one. */
   def nullCities(spark: SparkSession): DataFrame =
     spark.createDataFrame(Seq((0L, "1", "a"), (1L, "1", "b"), (2L, "1", null), (3L, "2", "c")))
