@@ -1,5 +1,9 @@
 package org.apache.spark.sql
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.StructType
+
 /** Stats-free local checkpoints.
   *
   * `Dataset.localCheckpoint` in Spark 4 bakes the parent plan's
@@ -16,7 +20,8 @@ package org.apache.spark.sql
   * dropping the inherited statistics (the leaf then reports the
   * session's `spark.sql.defaultSizeInBytes`). It lives in the
   * `org.apache.spark.sql` package to reach the `private[sql]`
-  * `internalCreateDataFrame`.
+  * `internalCreateDataFrame`, which [[checkpointed]] also serves to
+  * frames built over internal rows.
   *
   * An eager checkpoint runs one job now. A lazy one runs none: the first
   * later action that reads the frame computes and stores its blocks and
@@ -28,8 +33,21 @@ object ReproCheckpoint {
   def statsFree(df: Dataset[Row], eager: Boolean = true): Dataset[Row] = {
     val classicDf = df.asInstanceOf[classic.Dataset[Row]]
     val ck = classicDf.localCheckpoint(eager).asInstanceOf[classic.Dataset[Row]]
-    ck.sparkSession.internalCreateDataFrame(ck.queryExecution.toRdd, ck.schema)
+    fromRows(ck.sparkSession, ck.queryExecution.toRdd, ck.schema)
   }
+
+  /** A frame whose plan is one leaf over `rows`, which must have `schema`. */
+  private def fromRows(spark: SparkSession, rows: RDD[InternalRow], schema: StructType): Dataset[Row] =
+    spark.asInstanceOf[classic.SparkSession].internalCreateDataFrame(rows, schema)
+
+  /** A frame over copies of `rows`, which must have `schema`, checkpointed
+    * lazily as [[statsFree]] with `eager = false` checkpoints a frame's
+    * rows, but with no frame to plan. Like `Dataset.localCheckpoint`, it
+    * checkpoints a copying step of its own, so once the lineage is
+    * truncated nothing holds on to what the producer of `rows` captured.
+    */
+  def checkpointed(spark: SparkSession, rows: RDD[InternalRow], schema: StructType): Dataset[Row] =
+    fromRows(spark, rows.map(_.copy()).localCheckpoint(), schema)
 
   /** Materializes a lazy [[statsFree]] checkpoint in place: one job over
     * every partition of `df`, which stores the checkpoint's blocks.

@@ -5,7 +5,6 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.core.ProbData.MaterializeOps
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
@@ -130,6 +129,6 @@ object DcRepair {
   def clean(state: DataFrame, violations: Iterable[ThetaJoin.Violation], dc: InequalityDc,
             maxFixAtoms: Int = 1): (DataFrame, Long) = {
     val touched = violations.iterator.flatMap(v => Iterator(v.tid1, v.tid2)).toSet
-    (overwrite(state, fixesOf(violations, dc, maxFixAtoms), touched, dc).checkpointed, touched.size.toLong)
+    (overwrite(state, fixesOf(violations, dc, maxFixAtoms), touched, dc), touched.size.toLong)
   }
 }

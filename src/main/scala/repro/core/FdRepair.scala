@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.core.ProbData.MaterializeOps
 import scala.collection.mutable
 
 /** FD violation detection and probabilistic repair (§4.1).
@@ -126,18 +125,21 @@ object FdRepair {
   def applyFixes(state: DataFrame, fixes: Fixes, subsetTids: DataFrame, fd: Fd): DataFrame =
     rewrite(state, fd, fixes, FdGraph.memberOf(subsetTids))
 
+  /** A tuple's fix-table key: its (lv, rv, dR, dL) as a struct. */
+  private[core] def fixKey(state: DataFrame, fd: Fd): Column =
+    struct(FdGraph.baseLhs(fd), FdGraph.baseRhs(fd), FdGraph.dirtyFlag(state, fd.rhs),
+      FdGraph.dirtyLhsFlag(state, fd))
+
   /** The one state rewrite of the FD clean path: the fixes of the
     * fixed subset, looked up by each tuple's (lv, rv, dR, dL) key, merge
     * into its candidate sets (union semantics of §4.3), and the tuples
     * satisfying `mark` become checked by `fd`.
     */
   def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame = {
-    val key = struct(FdGraph.baseLhs(fd), FdGraph.baseRhs(fd), FdGraph.dirtyFlag(state, fd.rhs),
-      FdGraph.dirtyLhsFlag(state, fd))
     val table: Map[Any, Seq[Seq[Row]]] = fixes.keys.map(r => Row(r(0), r(1), r(2), r(3)) -> r.toSeq.drop(4)
       .map(_.asInstanceOf[Seq[Row]])).toMap
-    ProbData.applyFixTable(state, when(fixes.subset, key), table, fd.lhs :+ fd.rhs, fd.id, mark)(
-      ProbData.mergeCandSeqs)
+    ProbData.applyFixTable(state, when(fixes.subset, fixKey(state, fd)), table, fd.lhs :+ fd.rhs, fd.id,
+      mark)(ProbData.mergeCands)
   }
 
   /** The one FD clean step (§4.1): relaxes the graph's members with
@@ -154,7 +156,7 @@ object FdRepair {
     val closure = Relaxation.closure(g, maxIter)
     val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
     val fixes = fixesOf(g, s => closure.contains(s) && !s.checked, subset)
-    (rewrite(g.state, g.fd, fixes, subset).checkpointed, closure, fixes)
+    (rewrite(g.state, g.fd, fixes, subset), closure, fixes)
   }
 
   /** The per-group form of [[clean]] (§5.2.1's pass per erroneous
@@ -173,6 +175,6 @@ object FdRepair {
     }
     val subset = FdGraph.baseLhs(fd).isin(lvs.take(parts.size): _*)
     val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, parts.flatMap(_.keys).toSeq, subset)
-    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset).checkpointed, fixes)
+    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset), fixes)
   }
 }

@@ -1,9 +1,16 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, Row}
-import org.apache.spark.sql.api.java.{UDF1, UDF2}
+import org.apache.spark.sql.api.java.UDF1
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.{BindReferences, BoundReference, Expression,
+  GenericInternalRow, InterpretedUnsafeProjection}
+import org.apache.spark.sql.catalyst.optimizer.OptimizeIn
+import org.apache.spark.sql.catalyst.plans.logical.Project
+import org.apache.spark.sql.catalyst.util.{ArrayData, GenericArrayData}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 
 /** Attribute-level probabilistic representation (§4).
   *
@@ -156,29 +163,73 @@ object ProbData {
           x.getField("n").as("n"))))))
   }
 
+  private lazy val candsToScala = CatalystTypeConverters.createToScalaConverter(CandType)
+  private lazy val candsToCatalyst = CatalystTypeConverters.createToCatalystConverter(CandType)
+
+  /** [[mergeCandSeqs]] over candidate sets in Catalyst's form, the form
+    * [[applyFixTable]] hands to its update: converts the two sets of one
+    * cell and the merged set.
+    */
+  private[core] def mergeCands(a: ArrayData, b: ArrayData): ArrayData =
+    candsToCatalyst(mergeCandSeqs(candsToScala(a).asInstanceOf[Seq[Row]],
+      candsToScala(b).asInstanceOf[Seq[Row]])).asInstanceOf[ArrayData]
+
   /** The one candidate-apply step of every rule (§4.3). `fixes` is a
     * driver-side fix table: per fix key, the new candidate sets of
-    * `attrs` in that order, null for an attribute without a fix. It
-    * reaches the tasks as a broadcast variable, which runs no Spark job.
+    * `attrs` in that order, null for an attribute without a fix. Its sets
+    * are converted to Catalyst's form once, on the driver, and it reaches
+    * the tasks as a broadcast variable, which runs no Spark job.
     * A tuple whose `key` (null: no fix) has a fix for `a` gets
     * `update(old, fix)` as the candidate set of `a`, a tuple satisfying
     * `mark` becomes checked by `ruleId`, and the result has the state's
-    * columns. Every expression reads the row before the update.
+    * columns. `key` and `mark` read the row before the update.
+    *
+    * `key` and `mark` are resolved against the state's columns, with
+    * `isin` lists turned into hash sets, and evaluated on each of the
+    * state's internal rows; nothing is compiled for them, and no cell
+    * without a fix is converted. The result is a frame over the updated
+    * rows, checkpointed lazily: no job runs now, the first action that
+    * reads it stores it, and there is no plan above the rows to analyse
+    * or compile.
     */
   def applyFixTable(state: DataFrame, key: Column, fixes: Map[Any, Seq[Seq[Row]]], attrs: Seq[String],
-                    ruleId: String, mark: Column)(update: (Seq[Row], Seq[Row]) => Seq[Row]): DataFrame = {
-    val table = state.sparkSession.sparkContext.broadcast(fixes)
-    val updated = attrs.indices.map { i =>
-      def fixOf(k: Any): Seq[Row] = if (k == null) null else table.value.get(k).map(_(i)).orNull
-      val hasFix = udf(new UDF1[Any, Boolean] { def call(k: Any): Boolean = fixOf(k) != null }, BooleanType)
-      val fixed = udf(new UDF2[Any, Seq[Row], Seq[Row]] {
-        def call(k: Any, old: Seq[Row]): Seq[Row] = update(old, fixOf(k))
-      }, CandType)
-      val cc = col(candCol(attrs(i)))
-      // `hasFix` first: a cell without a fix is kept without converting it.
-      candCol(attrs(i)) -> when(hasFix(key), fixed(key, cc)).otherwise(cc)
-    }.toMap + (ChkCol -> when(mark, array_union(col(ChkCol), array(lit(ruleId)))).otherwise(col(ChkCol)))
-    state.select(state.columns.toSeq.map(c => updated.get(c).fold(col(c))(_.as(c))): _*)
+                    ruleId: String, mark: Column)(update: (ArrayData, ArrayData) => ArrayData): DataFrame = {
+    // Bound to the positions of the state's rows: the root of a plan keeps
+    // its output through optimization, so `toRdd` rows have them too.
+    val (keyOf, markOf) = OptimizeIn(state.select(key, mark).queryExecution.analyzed) match {
+      case Project(Seq(k, m), child) => (BindReferences.bindReference[Expression](k, child.output),
+        BindReferences.bindReference[Expression](m, child.output))
+    }
+    val keyType = keyOf.dataType
+    val table = state.sparkSession.sparkContext.broadcast(fixes.map { case (k, fs) =>
+      k -> fs.map(f => candsToCatalyst(f).asInstanceOf[ArrayData]).toArray
+    })
+    val cands = attrs.map(a => state.columns.indexOf(candCol(a))).toArray
+    val chk = state.columns.indexOf(ChkCol)
+    val id = UTF8String.fromString(ruleId)
+    val schema = StructType(state.schema.zipWithIndex.map {
+      case (f, i) => if (cands.contains(i)) f.copy(nullable = true) else f
+    })
+    val types = schema.map(_.dataType).toArray
+    val rows = state.queryExecution.toRdd.mapPartitions[InternalRow] { it =>
+      val toScala = CatalystTypeConverters.createToScalaConverter(keyType)
+      val toUnsafe = InterpretedUnsafeProjection.createProjection(types.indices.map(i =>
+        BoundReference(i, types(i), nullable = true)))
+      it.map { row =>
+        val (k, m) = (keyOf.eval(row), markOf.eval(row))
+        val out = new GenericInternalRow(Array.tabulate[Any](types.length)(i => row.get(i, types(i))))
+        if (k != null) for (fix <- table.value.get(toScala(k)); i <- cands.indices if fix(i) != null)
+          out.update(cands(i), update(out.getArray(cands(i)), fix(i)))
+        if (m == true && !out.isNullAt(chk)) {
+          val marks = out.getArray(chk).toArray[UTF8String](StringType) :+ id
+          out.update(chk, new GenericArrayData(marks.distinct.toArray[Any]))
+        }
+        // `out` holds values of `row`, which the producer reuses: written
+        // out before the next row.
+        toUnsafe(out)
+      }
+    }
+    ReproCheckpoint.checkpointed(state.sparkSession, rows, schema)
   }
 
   /** True for the tuples whose `key` is in `keys`, shipped as a broadcast

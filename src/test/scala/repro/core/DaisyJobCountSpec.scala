@@ -22,9 +22,15 @@ import repro.offline.OfflineCleaner
   * the bucketization (detection and repair run on the driver).
   * An SPJ query runs the broadcast of the join's right part, the
   * collection of its lineage (the right tids with their checked marks)
-  * and the join-side steps, and re-joins the right tuples once only when
-  * a join-side step was not pruned. Its joins run no shuffle, so the SPJ
-  * tests bound stages too.
+  * and the join-side steps, and, only when a join-side step was not
+  * pruned, one collection of the right tuples to re-join, which serves
+  * both the removal of their old rows and their re-join. The broadcast is
+  * the one job a lazy checkpoint runs: planning the checkpointed join
+  * plans its `BroadcastHashJoinExec`, which waits for the right part's
+  * broadcast job. On `ssb_dc_join` query 2, cold (4 vCPUs, `local[4]`),
+  * that checkpoint took 0.39–0.50 s against 0.18–0.23 s for the lineage
+  * collection. Its joins
+  * run no shuffle, so the SPJ tests bound stages too.
   * The offline cleaner's Bulk mode runs the collection of the graph or
   * the points and the store of its final state; its per-group mode one
   * signature collection per dirty group plus a constant (the detection,
@@ -197,8 +203,8 @@ class DaisyJobCountSpec extends SparkSpec {
       join = Some(JoinSpec("emp", "zip", "ezip")))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
     assert(d.lastReport.resultRows == 4)
-    assert(jobs <= 6, s"SPJ query that re-joins ran $jobs jobs")
-    assert(stages <= 6, s"SPJ query that re-joins ran $stages stages")
+    assert(jobs <= 5, s"SPJ query that re-joins ran $jobs jobs")
+    assert(stages <= 5, s"SPJ query that re-joins ran $stages stages")
   }
 
   test("resultRows counts each query's own result in one job, on first read") {
