@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.api.java.UDF1
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.ArrayType
+import org.apache.spark.sql.types.{ArrayType, StructType}
 
 /** The probabilistic and incremental joins behind `clean_⋈`
   * (Definition 3), DataFrame → DataFrame transforms. [[Daisy]] holds
@@ -19,67 +19,60 @@ object CleanOps {
     * value sets of the join keys overlap. The result keeps the lineage
     * (originating tuple ids of both sides, as the paper stores for
     * potential later inference) plus every column of both inputs;
-    * right-side bookkeeping columns are prefixed with `__r`.
-    *
-    * Each side's rows are exploded once per distinct candidate key value
-    * and joined on the value as a broadcast hash join, the right part
-    * being the broadcast side, so it must fit in memory. A pair sharing
-    * several values is kept at the smallest of them only, which needs no
-    * exchange. Null key values and range candidates match nothing.
+    * right-side bookkeeping columns are prefixed with `__r`. Null key
+    * values and range candidates match nothing. One job collects the
+    * right part, which must fit in memory; see [[lookupJoin]].
     */
   def probEquiJoin(left: DataFrame, right: DataFrame,
-                   leftKey: String, rightKey: String): DataFrame = {
-    val (l, r) = (explodeLeft(left, leftKey), keyedRight(right, rightKey, left.columns.toSet))
-    pairs(l.join(broadcast(r.withColumn("__kv", explode(col("__rvs")))), "__kv"), l, r)
-  }
+                   leftKey: String, rightKey: String): DataFrame =
+    lookupJoin(left, right, leftKey, rightKey)._1
 
   /** Incremental join update (§5.1, Fig. 3): replaces the rows of the
     * `rightExtra` tuples in the existing result by their join against
     * the left part — the second join of the plan after `clean_⋈` runs.
-    * One job collects the `rightExtra` tuples; their tids drop their old
-    * rows, and the left part's rows look their key values up in them,
-    * shipped as a broadcast variable, which runs no job.
+    * One job collects the `rightExtra` tuples: their tids drop their old
+    * rows, and their rows are the re-join ([[lookupJoin]]).
     */
   def incrementalJoin(existing: DataFrame, left: DataFrame, rightExtra: DataFrame,
                       leftKey: String, rightKey: String): DataFrame = {
-    val (l, r) = (explodeLeft(left, leftKey), keyedRight(rightExtra, rightKey, left.columns.toSet))
-    val rows = r.collect()
-    val byValue = left.sparkSession.sparkContext.broadcast(rows.toSeq.flatMap { row =>
-      row.getSeq[String](row.fieldIndex("__rvs")).filter(_ != null).map(_ -> row)
-    }.groupMap(_._1)(_._2))
-    val partners = udf(new UDF1[String, Seq[Row]] {
-      def call(v: String): Seq[Row] = byValue.value.getOrElse(v, Nil)
-    }, ArrayType(r.schema))
-    val rejoined = l.withColumn("__r", explode(partners(col("__kv"))))
-      .select(l.columns.map(col) :+ col("__r.*"): _*)
+    val (rejoined, tids) = lookupJoin(left, rightExtra, leftKey, rightKey)
     val cols = existing.columns.map(col)
-    existing.filter(!ProbData.keyIn(existing, col("__rtid"), rows.map(_.getAs[Long]("__rtid")).toSet))
+    existing.filter(!ProbData.keyIn(existing, col("__rtid"), tids.toSet[Any]))
       .select(cols: _*)
-      .union(pairs(rejoined, l, r).select(cols: _*))
+      .union(rejoined.select(cols: _*))
   }
 
-  /** `left` with `__tid` renamed to `__ltid`, its distinct key values
-    * `__lvs` and one row per value `__kv`.
+  /** The one join kernel of `clean_⋈`: one job collects `right`, renamed
+    * by [[renameRight]], with its candidate key values; the rows and a
+    * value → row-index map reach the tasks as one broadcast variable. Each
+    * row of `left` looks its candidate key values up and is paired once
+    * with every right row sharing one of them, by one explode: no join,
+    * no exchange. Returns the pairs, `__rtid` and `__ltid` first, then
+    * the columns of `left` and of the renamed `right`, and the collected
+    * right tids.
     */
-  private def explodeLeft(left: DataFrame, leftKey: String): DataFrame =
-    left.withColumnRenamed(tidC, "__ltid")
-      .withColumn("__lvs", array_distinct(ProbData.valuesExpr(left, leftKey)))
-      .withColumn("__kv", explode(col("__lvs")))
-
-  /** `right` renamed by [[renameRight]], with its distinct key values `__rvs`. */
-  private def keyedRight(right: DataFrame, rightKey: String, leftCols: Set[String]): DataFrame =
-    renameRight(right.withColumn("__rvs", array_distinct(ProbData.valuesExpr(right, rightKey))), leftCols)
-
-  /** The join result from `matched`, the rows of `l` and `r` joined on
-    * the key value `__kv`: a pair sharing several values is kept at the
-    * smallest of them only, and the helper columns are dropped.
-    */
-  private def pairs(matched: DataFrame, l: DataFrame, r: DataFrame): DataFrame = {
-    val helper = Set("__kv", "__lvs", "__rvs")
-    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(c => c != "__ltid" && !helper(c)) ++
-      r.columns.filter(c => c != "__rtid" && !helper(c))
-    matched.filter(col("__kv") === array_min(array_intersect(col("__lvs"), col("__rvs"))))
-      .select(cols.map(col): _*)
+  private def lookupJoin(left: DataFrame, right: DataFrame,
+                         leftKey: String, rightKey: String): (DataFrame, Seq[Long]) = {
+    val r = renameRight(right.withColumn("__rvs", ProbData.valuesExpr(right, rightKey)), left.columns.toSet)
+    val collected = r.collect()
+    val rowType = StructType(r.schema.init)
+    val table = left.sparkSession.sparkContext.broadcast((
+      collected.map(row => Row.fromSeq(row.toSeq.init)),
+      collected.toSeq.zipWithIndex.flatMap { case (row, i) =>
+        row.getSeq[String](rowType.length).filter(_ != null).map(_ -> i)
+      }.groupMap(_._1)(_._2)))
+    val partners = udf(new UDF1[collection.Seq[String], Seq[Row]] {
+      def call(vs: collection.Seq[String]): Seq[Row] = {
+        val (rows, byValue) = table.value
+        vs.flatMap(byValue.getOrElse(_, Nil)).distinct.map(rows(_)).toSeq
+      }
+    }, ArrayType(rowType))
+    val l = left.withColumnRenamed(tidC, "__ltid")
+    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(_ != "__ltid") ++
+      rowType.fieldNames.filter(_ != "__rtid")
+    (l.withColumn("__r", explode(partners(ProbData.valuesExpr(left, leftKey))))
+      .select(l.columns.map(col) :+ col("__r.*"): _*)
+      .select(cols.map(col): _*), collected.map(_.getAs[Long]("__rtid")).toSeq)
   }
 
   /** `right` with `__tid` and `__chk` renamed to `__rtid` and `__rchk`,

@@ -55,7 +55,7 @@ final class Daisy(val spark: SparkSession,
   private val settled = mutable.Set[(String, String)]()
 
   /** Metrics of the most recent [[execute]] call. */
-  var lastReport: ExecReport = new ExecReport(Planner.Plan(QuerySpec("-"), Nil, Nil), Nil, spark.emptyDataFrame)
+  var lastReport: ExecReport = ExecReport(Planner.Plan(QuerySpec("-"), Nil), Nil)
 
   def state(table: String): DataFrame = states(table)
 
@@ -144,7 +144,7 @@ final class Daisy(val spark: SparkSession,
       result = result.select((lineage ++ withCands).distinct.map(col): _*)
     }
 
-    lastReport = new ExecReport(plan, reports.toSeq, result)
+    lastReport = ExecReport(plan, reports.toSeq)
     result
   }
 
@@ -223,8 +223,7 @@ final class Daisy(val spark: SparkSession,
     * tuples.
     */
   def fullCleanRemaining(table: String, fd: Fd): Long = {
-    val g = FdGraph.collect(states(table), fd, !ProbData.checkedBy(fd.id))
-    val (st, _, fixes) = FdRepair.clean(g, 0)
+    val (st, fixes) = FdRepair.cleanUnchecked(states(table), fd)
     write(table, fd.id, st)
     trackers.get((table, fd.id)).foreach(_.markSwitched())
     fixes.nDirty

@@ -149,14 +149,22 @@ object FdRepair {
     * action that reads the state stores it. Tuples already
     * checked by the rule are left out of the repair statistics: their
     * candidate sets already reflect it. With `maxIter = 0` the closure
-    * is the members alone, which is how full cleaning calls it, on a
-    * graph collected with the unchecked tuples as members.
+    * is the members alone ([[cleanUnchecked]]).
     */
   def clean(g: FdGraph, maxIter: Int): (DataFrame, Relaxation.Closure, Fixes) = {
     val closure = Relaxation.closure(g, maxIter)
     val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
     val fixes = fixesOf(g, s => closure.contains(s) && !s.checked, subset)
     (rewrite(g.state, g.fd, fixes, subset), closure, fixes)
+  }
+
+  /** [[clean]] of every tuple of `state` that `fd` has not checked,
+    * unrelaxed, from one collection of the rule's graph: full cleaning's
+    * step, in Daisy's strategy switch and the offline cleaner.
+    */
+  def cleanUnchecked(state: DataFrame, fd: Fd): (DataFrame, Fixes) = {
+    val (st, _, fixes) = clean(FdGraph.collect(state, fd, !ProbData.checkedBy(fd.id)), 0)
+    (st, fixes)
   }
 
   /** The per-group form of [[clean]] (§5.2.1's pass per erroneous

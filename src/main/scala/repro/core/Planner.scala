@@ -27,11 +27,8 @@ object Planner {
   final case class CleaningStep(table: String, rule: Rule, placement: Placement,
                                 isJoinSide: Boolean)
 
-  /** A planned query: the cleaning steps in execution order plus a
-    * printable operator order for inspection/tests.
-    */
-  final case class Plan(query: QuerySpec, steps: Seq[CleaningStep],
-                        operatorOrder: Seq[String])
+  /** A planned query: the cleaning steps in execution order. */
+  final case class Plan(query: QuerySpec, steps: Seq[CleaningStep])
 
   /** Builds the plan. `rulesOf` maps table name → its rules;
     * `switchedToFull` tells whether the cost model already switched a
@@ -51,21 +48,6 @@ object Planner {
         CleaningStep(j.rightTable, r, placement, isJoinSide = true)
       }
     }
-
-    val order = Seq.newBuilder[String]
-    order += s"scan(${q.table})"
-    leftSteps.filter(_.placement == BeforeFilter).foreach(s => order += s"clean_σ[${s.rule.id}]")
-    if (q.where.nonEmpty) order += s"filter(${q.where.map(_.attr).mkString(",")})"
-    leftSteps.filter(_.placement == AfterFilter).foreach(s => order += s"clean_σ[${s.rule.id}]")
-    q.join.foreach { j =>
-      order += s"join(${q.table}.${j.leftKey}=${j.rightTable}.${j.rightKey})"
-      rightSteps.foreach(s => order += s"clean_⋈[${s.rule.id}]")
-      order += "incremental-join"
-    }
-    if (q.groupBy.nonEmpty || q.aggs.nonEmpty)
-      order += s"groupBy(${q.groupBy.mkString(",")})"
-    if (q.select.nonEmpty) order += s"project(${q.select.mkString(",")})"
-
-    Plan(q, leftSteps ++ rightSteps, order.result())
+    Plan(q, leftSteps ++ rightSteps)
   }
 }

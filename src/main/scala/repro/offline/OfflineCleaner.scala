@@ -61,13 +61,10 @@ object OfflineCleaner {
     var timedOut = false
     var done = 0L
     var total = 0L
-    // The FD clean step over every tuple of `st` that `fd` has not checked, unrelaxed.
-    def cleanUnchecked(st: DataFrame, fd: Fd) =
-      FdRepair.clean(FdGraph.collect(st, fd, !ProbData.checkedBy(fd.id)), 0)
     for (r <- rules if !timedOut) r match {
       case fd: Fd => mode match {
         case Mode.Bulk =>
-          val (cleaned, _, fixes) = cleanUnchecked(state, fd)
+          val (cleaned, fixes) = FdRepair.cleanUnchecked(state, fd)
           state = cleaned
           done += fixes.nDirtyGroups; total += fixes.nDirtyGroups
         case Mode.PerGroup =>
@@ -77,7 +74,7 @@ object OfflineCleaner {
           val (s, fixes) = FdRepair.cleanGroups(state, fd, lvs, (System.nanoTime() - t0) / 1e9 > timeoutSec)
           done += fixes.nDirtyGroups; total += lvs.size
           timedOut = fixes.nDirtyGroups < lvs.size
-          state = if (timedOut) s else cleanUnchecked(s, fd)._1
+          state = if (timedOut) s else FdRepair.cleanUnchecked(s, fd)._1
       }
       case dc: InequalityDc =>
         val buck = ThetaJoin.bucketize(state, dc, dcPartitions)

@@ -11,26 +11,21 @@ import repro.offline.OfflineCleaner
   * collection and leaves the result to the caller: states and joins are
   * checkpointed lazily, so the next collection stores them, and fix
   * tables reach the tasks as broadcast variables, which run no job.
-  * Where a test counts the answer's collection too, that is one more job,
-  * and `ExecReport.resultRows` counts the result in one job on its first
-  * read. On the FD clean path: one signature collection for a cleaned or
+  * Where a test counts the answer's collection too, that is one more job.
+  * On the FD clean path: one signature collection for a cleaned or
   * a pruned query; none for a settled rule, one with no unchecked tuple
   * left in a dirty group, until another rule rewrites the table; none
   * once the rule has switched to full cleaning, which checked every
   * tuple. On the DC path: one collection of the answer's tids, which on
   * the rule's first use also carries the DC attributes of every tuple for
   * the bucketization (detection and repair run on the driver).
-  * An SPJ query runs the broadcast of the join's right part, the
-  * collection of its lineage (the right tids with their checked marks)
-  * and the join-side steps, and, only when a join-side step was not
-  * pruned, one collection of the right tuples to re-join, which serves
-  * both the removal of their old rows and their re-join. The broadcast is
-  * the one job a lazy checkpoint runs: planning the checkpointed join
-  * plans its `BroadcastHashJoinExec`, which waits for the right part's
-  * broadcast job. On `ssb_dc_join` query 2, cold (4 vCPUs, `local[4]`),
-  * that checkpoint took 0.39–0.50 s against 0.18–0.23 s for the lineage
-  * collection. Its joins
-  * run no shuffle, so the SPJ tests bound stages too.
+  * An SPJ query runs the collection of the join's right part, the
+  * collection of the joined lineage (the right tids with their checked
+  * marks) and the join-side steps, and, only when a join-side step was
+  * not pruned, one collection of the right tuples to re-join, which
+  * serves both the removal of their old rows and their re-join. Its
+  * joins look the collected rows up, with no join and no shuffle, so the
+  * SPJ tests bound stages too.
   * The offline cleaner's Bulk mode runs the collection of the graph or
   * the points and the store of its final state; its per-group mode one
   * signature collection per dirty group plus a constant (the detection,
@@ -185,10 +180,10 @@ class DaisyJobCountSpec extends SparkSpec {
       Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
       Map("emp" -> Seq(TestData.empFd)))
     // Peter's phone group is clean, so the join-side rule is pruned.
-    val (_, jobs, stages) = countsOf(d.execute(QuerySpec("cities", select = Seq("city", "ename"),
+    val (res, jobs, stages) = countsOf(d.execute(QuerySpec("cities", select = Seq("city", "ename"),
       join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter")))))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(true))
-    assert(d.lastReport.resultRows == 2)
+    assert(res.count() == 2)
     assert(jobs <= 3, s"SPJ query with a pruned join-side rule ran $jobs jobs")
     assert(stages <= 3, s"SPJ query with a pruned join-side rule ran $stages stages")
   }
@@ -198,50 +193,13 @@ class DaisyJobCountSpec extends SparkSpec {
       Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
       Map("cities" -> Seq(TestData.cityFd), "emp" -> Seq(TestData.empFd)))
     // Example 6: both sides are cleaned, then the changed employees re-join.
-    val (_, jobs, stages) = countsOf(d.execute(QuerySpec("cities",
+    val (res, jobs, stages) = countsOf(d.execute(QuerySpec("cities",
       where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename"),
       join = Some(JoinSpec("emp", "zip", "ezip")))))
     assert(d.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
-    assert(d.lastReport.resultRows == 4)
+    assert(res.count() == 4)
     assert(jobs <= 5, s"SPJ query that re-joins ran $jobs jobs")
     assert(stages <= 5, s"SPJ query that re-joins ran $stages stages")
-  }
-
-  test("resultRows counts each query's own result in one job, on first read") {
-    val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
-      nTie = 4, nMinority = 4, nZipErr = 4)
-    val hospital = Daisy.single(spark, "hospital", data.dirty, Seq(Hospital.Phi1))
-    val select = Seq("zip", "city", "provider_id")
-    def joins(rules: Map[String, Seq[Rule]]) = new Daisy(spark,
-      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)), rules)
-    // (shape, session, query, whether its rule steps are pruned)
-    val shapes = Seq(
-      ("cleaned SP", hospital, QuerySpec("hospital",
-        where = Seq(Pred("hospital_type", "!=", "type_1")), select = select), Seq(false)),
-      ("pruned SP", hospital, QuerySpec("hospital",
-        where = Seq(Pred("hospital_type", "=", "type_1")), select = select), Seq(true)),
-      ("group-by", hospital, QuerySpec("hospital", groupBy = Seq("city"),
-        aggs = Seq(Agg("count", "provider_id", "n"))), Seq(true)),
-      ("SPJ without a re-join", joins(Map("emp" -> Seq(TestData.empFd))), QuerySpec("cities",
-        select = Seq("city", "ename"),
-        join = Some(JoinSpec("emp", "zip", "ezip", Seq(Pred("ename", "=", "Peter"))))), Seq(true)),
-      ("SPJ with a re-join", joins(Map("cities" -> Seq(TestData.cityFd), "emp" -> Seq(TestData.empFd))),
-        QuerySpec("cities", where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename"),
-          join = Some(JoinSpec("emp", "zip", "ezip"))), Seq(false, false)))
-    val runs = shapes.map { case (shape, d, q, pruned) =>
-      val res = d.execute(q)
-      assert(d.lastReport.perRule.map(_.skippedByPruning) == pruned, shape)
-      (shape, d.lastReport, res.count())
-    }
-    // Every report is read after all five queries ran: each hospital
-    // report after the later queries of its own session.
-    for ((shape, report, expected) <- runs) {
-      val (rows, jobs) = jobsOf(report.resultRows)
-      assert(rows == expected, shape)
-      assert(jobs == 1, s"$shape: reading resultRows ran $jobs jobs")
-      assert(jobsOf(report.resultRows) == (expected, 0), s"$shape: a second read")
-    }
-    assert(runs.map(_._3).distinct.size == runs.size, "the shapes' counts must tell them apart")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {

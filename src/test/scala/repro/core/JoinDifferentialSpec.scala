@@ -7,7 +7,7 @@ import org.scalacheck.Gen
 import repro.SeededSpec
 import scala.jdk.CollectionConverters._
 
-/** The broadcast hash joins of `clean_⋈` ([[CleanOps.probEquiJoin]],
+/** The lookup joins of `clean_⋈` ([[CleanOps.probEquiJoin]],
   * [[CleanOps.incrementalJoin]]) against the shuffle-join reference
   * ([[JoinReference]]) on ScalaCheck-seeded small states. A key cell holds
   * zero to three candidates: equality candidates (repeated values, values

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 /** Reference implementation of the joins of `clean_⋈` as a shuffle join:
   * each side exploded once per candidate key value, one equi-join on the
   * value, then duplicate (`__ltid`, `__rtid`) pairs dropped. The
-  * broadcast hash joins of [[CleanOps.probEquiJoin]] and
+  * lookup joins of [[CleanOps.probEquiJoin]] and
   * [[CleanOps.incrementalJoin]] must give the same rows on every input;
   * see [[JoinDifferentialSpec]].
   */

@@ -11,8 +11,7 @@ class PlannerSpec extends AnyFunSuite {
 
   test("a rule overlapping the where clause injects clean_σ") {
     val p = Planner.plan(QuerySpec("r", where = Seq(Pred("city", "=", "LA"))), rules)
-    assert(p.steps.map(_.rule.id) == Seq("phi"))
-    assert(p.operatorOrder.contains("clean_σ[phi]"))
+    assert(p.steps == Seq(Planner.CleaningStep("r", fd, Planner.AfterFilter, isJoinSide = false)))
   }
 
   test("a rule overlapping only the projection still injects clean_σ (§4.1 overlap)") {
@@ -25,39 +24,34 @@ class PlannerSpec extends AnyFunSuite {
     val p = Planner.plan(QuerySpec("r", where = Seq(Pred("other", "=", "x")),
       select = Seq("other")), rules)
     assert(p.steps.isEmpty)
-    assert(!p.operatorOrder.exists(_.startsWith("clean")))
   }
 
   test("incremental placement puts clean_σ after the filter") {
     val p = Planner.plan(QuerySpec("r", where = Seq(Pred("city", "=", "LA"))), rules)
-    val o = p.operatorOrder
-    assert(o.indexOf("filter(city)") < o.indexOf("clean_σ[phi]"))
+    assert(p.steps.map(_.placement) == Seq(Planner.AfterFilter))
   }
 
   test("a switched rule is pushed before the filter (full cleaning of the relation)") {
     val p = Planner.plan(QuerySpec("r", where = Seq(Pred("city", "=", "LA"))), rules,
       switchedToFull = (_, r) => r.id == "phi")
-    val o = p.operatorOrder
-    assert(o.indexOf("clean_σ[phi]") < o.indexOf("filter(city)"))
-    assert(p.steps.head.placement == Planner.BeforeFilter)
+    assert(p.steps.map(_.placement) == Seq(Planner.BeforeFilter))
   }
 
   test("join side rules become clean_⋈ followed by the incremental join") {
     val q = QuerySpec("r", where = Seq(Pred("city", "=", "LA")),
       join = Some(JoinSpec("s", "zip", "suppkey")))
     val p = Planner.plan(q, rules)
-    val o = p.operatorOrder
-    assert(p.steps.exists(s => s.isJoinSide && s.rule.id == "psi"))
-    assert(o.indexOf("join(r.zip=s.suppkey)") < o.indexOf("clean_⋈[psi]"))
-    assert(o.indexOf("clean_⋈[psi]") < o.indexOf("incremental-join"))
+    // Left steps first: Daisy runs the join-side ones after the join.
+    assert(p.steps.map(s => (s.table, s.rule.id, s.isJoinSide)) ==
+      Seq(("r", "phi", false), ("s", "psi", true)))
   }
 
   test("cleaning is pushed below the group-by") {
     val q = QuerySpec("r", where = Seq(Pred("zip", "=", "1")),
       groupBy = Seq("city"), aggs = Seq(Agg("count", "zip", "n")))
     val p = Planner.plan(q, rules)
-    val o = p.operatorOrder
-    assert(o.indexOf("clean_σ[phi]") < o.indexOf("groupBy(city)"))
+    // Daisy runs every planned step before it aggregates.
+    assert(p.steps.map(s => (s.rule.id, s.placement, s.isJoinSide)) == Seq(("phi", Planner.AfterFilter, false)))
   }
 
   test("join key participating in a left-table rule triggers the left clean_σ") {
@@ -66,11 +60,12 @@ class PlannerSpec extends AnyFunSuite {
     assert(p.steps.exists(s => !s.isJoinSide && s.rule.id == "phi"))
   }
 
-  test("operator order always starts with the scan and ends with projection when present") {
-    val p = Planner.plan(QuerySpec("r", where = Seq(Pred("city", "=", "LA")),
-      select = Seq("zip")), rules)
-    assert(p.operatorOrder.head == "scan(r)")
-    assert(p.operatorOrder.last == "project(zip)")
+  test("the plan keeps its query; an untouched right-side rule gets no step") {
+    val q = QuerySpec("r", where = Seq(Pred("city", "=", "LA")), select = Seq("zip"),
+      join = Some(JoinSpec("s", "zip", "id", Seq(Pred("other", "=", "x")))))
+    val p = Planner.plan(q, rules)
+    assert(p.query == q)
+    assert(p.steps.map(s => (s.table, s.rule.id)) == Seq(("r", "phi")))
   }
 
   test("rule overlap definition matches §4.1: (X ∪ Y) ∩ (P ∪ W) ≠ ∅") {
