@@ -1,9 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.api.java.UDF1
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, ReproCheckpoint}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, InterpretedUnsafeProjection, JoinedRow}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, StructType}
+import org.apache.spark.sql.types.StructType
 
 /** The probabilistic and incremental joins behind `clean_⋈`
   * (Definition 3), DataFrame → DataFrame transforms. [[Daisy]] holds
@@ -21,66 +23,80 @@ object CleanOps {
     * potential later inference) plus every column of both inputs;
     * right-side bookkeeping columns are prefixed with `__r`. Null key
     * values and range candidates match nothing. One job collects the
-    * right part, which must fit in memory; see [[lookupJoin]].
+    * right part, which must fit in memory; see [[lookupJoin]]. The result
+    * is a frame over the pairs, checkpointed lazily: no job runs now.
     */
   def probEquiJoin(left: DataFrame, right: DataFrame,
-                   leftKey: String, rightKey: String): DataFrame =
-    lookupJoin(left, right, leftKey, rightKey)._1
+                   leftKey: String, rightKey: String): DataFrame = {
+    val j = lookupJoin(left, right, leftKey, rightKey, None)
+    ReproCheckpoint.checkpointed(left.sparkSession, j.rows, j.schema)
+  }
 
   /** Incremental join update (§5.1, Fig. 3): replaces the rows of the
     * `rightExtra` tuples in the existing result by their join against
     * the left part — the second join of the plan after `clean_⋈` runs.
     * One job collects the `rightExtra` tuples: their tids drop their old
-    * rows, and their rows are the re-join ([[lookupJoin]]).
+    * rows, and their rows are the re-join ([[lookupJoin]]), in the
+    * columns of `existing`. The result is checkpointed lazily.
     */
   def incrementalJoin(existing: DataFrame, left: DataFrame, rightExtra: DataFrame,
                       leftKey: String, rightKey: String): DataFrame = {
-    val (rejoined, tids) = lookupJoin(left, rightExtra, leftKey, rightKey)
-    val cols = existing.columns.map(col)
-    existing.filter(!ProbData.keyIn(existing, col("__rtid"), tids.toSet[Any]))
-      .select(cols: _*)
-      .union(rejoined.select(cols: _*))
+    val j = lookupJoin(left, rightExtra, leftKey, rightKey, Some(existing.columns.toSeq))
+    val kept = ReproCheckpoint.scan(existing.filter(!ProbData.keyIn(existing, col("__rtid"),
+      j.rightTids.toSet[Any])), existing.columns.toSeq.map(col)).input
+    val schema = StructType(existing.schema.zip(j.schema).map { case (a, b) =>
+      a.copy(nullable = a.nullable || b.nullable)
+    })
+    ReproCheckpoint.checkpointed(existing.sparkSession, kept.union(j.rows), schema)
   }
 
-  /** The one join kernel of `clean_⋈`: one job collects `right`, renamed
-    * by [[renameRight]], with its candidate key values; the rows and a
-    * value → row-index map reach the tasks as one broadcast variable. Each
-    * row of `left` looks its candidate key values up and is paired once
-    * with every right row sharing one of them, by one explode: no join,
-    * no exchange. Returns the pairs, `__rtid` and `__ltid` first, then
-    * the columns of `left` and of the renamed `right`, and the collected
-    * right tids.
-    */
-  private def lookupJoin(left: DataFrame, right: DataFrame,
-                         leftKey: String, rightKey: String): (DataFrame, Seq[Long]) = {
-    val r = renameRight(right.withColumn("__rvs", ProbData.valuesExpr(right, rightKey)), left.columns.toSet)
-    val collected = r.collect()
-    val rowType = StructType(r.schema.init)
-    val table = left.sparkSession.sparkContext.broadcast((
-      collected.map(row => Row.fromSeq(row.toSeq.init)),
-      collected.toSeq.zipWithIndex.flatMap { case (row, i) =>
-        row.getSeq[String](rowType.length).filter(_ != null).map(_ -> i)
-      }.groupMap(_._1)(_._2)))
-    val partners = udf(new UDF1[collection.Seq[String], Seq[Row]] {
-      def call(vs: collection.Seq[String]): Seq[Row] = {
-        val (rows, byValue) = table.value
-        vs.flatMap(byValue.getOrElse(_, Nil)).distinct.map(rows(_)).toSeq
-      }
-    }, ArrayType(rowType))
-    val l = left.withColumnRenamed(tidC, "__ltid")
-    val cols = Seq("__rtid", "__ltid") ++ l.columns.filter(_ != "__ltid") ++
-      rowType.fieldNames.filter(_ != "__rtid")
-    (l.withColumn("__r", explode(partners(ProbData.valuesExpr(left, leftKey))))
-      .select(l.columns.map(col) :+ col("__r.*"): _*)
-      .select(cols.map(col): _*), collected.map(_.getAs[Long]("__rtid")).toSeq)
-  }
+  /** Pairs of [[lookupJoin]] with their schema, and the collected right tids. */
+  private final case class Lookup(rows: RDD[InternalRow], schema: StructType, rightTids: Seq[Long])
 
-  /** `right` with `__tid` and `__chk` renamed to `__rtid` and `__rchk`,
-    * then every column named like one of `leftCols` prefixed with `r_`.
+  /** The one join kernel of `clean_⋈`: one job collects `right`, its
+    * columns renamed (`__tid` and `__chk` to `__rtid` and `__rchk`, then
+    * every name that `left` has prefixed with `r_`), with its candidate
+    * key values; the rows and a value → row-index map reach the tasks as
+    * one broadcast variable. Each row of `left` looks its candidate key
+    * values up and is paired once with every right row sharing one of
+    * them, through one projection of the joined rows: no join, no
+    * exchange. The pairs have the columns `cols`, by default `__rtid` and
+    * `__ltid` first, then the columns of `left` and of the renamed
+    * `right`. Both sides are read by [[ReproCheckpoint.scan]].
     */
-  private def renameRight(right: DataFrame, leftCols: Set[String]): DataFrame =
-    right.select(right.columns.toSeq.map { c =>
+  private def lookupJoin(left: DataFrame, right: DataFrame, leftKey: String, rightKey: String,
+                         cols: Option[Seq[String]]): Lookup = {
+    val renamed = right.columns.toSeq.map { c =>
       val n = if (c == tidC) "__rtid" else if (c == ProbData.ChkCol) "__rchk" else c
-      col(c).as(if (leftCols.contains(n)) "r_" + n else n)
-    }: _*)
+      c -> (if (left.columns.contains(n)) "r_" + n else n)
+    }
+    val r = ReproCheckpoint.scan(right,
+      renamed.map { case (c, n) => col(c).as(n) } :+ ProbData.valuesExpr(right, rightKey))
+    val l = ReproCheckpoint.scan(left, left.columns.toSeq.map(col) :+ ProbData.valuesExpr(left, leftKey))
+    val (nL, nR) = (left.columns.length, renamed.size)
+    val collected = r.collect()
+    val byValue = collected.indices.flatMap(i =>
+      ProbData.strings(collected(i).getArray(nR)).filter(_ != null).map(_ -> i)).groupMap(_._1)(_._2)
+    val table = left.sparkSession.sparkContext.broadcast((collected, byValue))
+
+    // Each output column: its field and its ordinal in (left row, right row).
+    val ltid = left.columns.indexOf(tidC)
+    val rtid = renamed.indexWhere(_._2 == "__rtid")
+    val fields = Seq(r.schema(rtid) -> (nL + 1 + rtid), l.schema(ltid).copy(name = "__ltid") -> ltid) ++
+      (0 until nL).filter(_ != ltid).map(i => l.schema(i) -> i) ++
+      (0 until nR).filter(_ != rtid).map(i => r.schema(i) -> (nL + 1 + i))
+    val out = cols.fold(fields)(_.map(c => fields.find(_._1.name == c).getOrElse(
+      throw new IllegalArgumentException(s"the join has no column '$c'"))))
+    val refs = out.map { case (f, i) => BoundReference(i, f.dataType, nullable = true) }
+    val rows = l.rows.mapPartitions[InternalRow] { it =>
+      val (rightRows, partners) = table.value
+      val project = InterpretedUnsafeProjection.createProjection(refs)
+      val joined = new JoinedRow
+      it.flatMap { row =>
+        ProbData.strings(row.getArray(nL)).filter(_ != null).flatMap(partners.getOrElse(_, Nil)).distinct
+          .iterator.map(i => project(joined(row, rightRows(i))))
+      }
+    }
+    Lookup(rows, StructType(out.map(_._1)), collected.toSeq.map(_.getLong(rtid)))
+  }
 }

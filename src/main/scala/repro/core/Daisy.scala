@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.core.ProbData.MaterializeOps
@@ -103,10 +103,10 @@ final class Daisy(val spark: SparkSession,
       // Read from the current state: before the join-side steps for the
       // join, after them for the re-join.
       def rightPart = states(j.rightTable).filter(ProbData.qualifiesAll(states(j.rightTable), j.rightWhere))
-      val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey).checkpointed
+      val joined = CleanOps.probEquiJoin(result, rightPart, j.leftKey, j.rightKey)
       // The joined rows' right tuples with their checked marks, collected once.
-      lazy val rightChk = joined.select("__rtid", "__rchk").collect()
-        .map(r => r.getLong(0) -> r.getSeq[String](1)).toMap
+      lazy val rightChk = ReproCheckpoint.scan(joined, Seq(col("__rtid"), col("__rchk"))).collect()
+        .map(r => r.getLong(0) -> ProbData.strings(r.getArray(1))).toMap
       lazy val rightQual = col(tidC).isin(rightChk.keys.toSeq: _*)
       val ran = plan.steps.filter(_.isJoinSide).map(step => step.rule -> runStep(j.rightTable, step, rightQual))
       reports ++= ran.map(_._2)
@@ -121,7 +121,7 @@ final class Daisy(val spark: SparkSession,
       result =
         if (rules.isEmpty) joined
         else CleanOps.incrementalJoin(joined, result, rightPart.filter(changed.reduce(_ || _)),
-          j.leftKey, j.rightKey).checkpointed
+          j.leftKey, j.rightKey)
     }
 
     // --- aggregation (cleaning already pushed below it) ------------
@@ -136,12 +136,14 @@ final class Daisy(val spark: SparkSession,
       result =
         if (q.groupBy.nonEmpty) result.groupBy(q.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
         else result.agg(aggCols.head, aggCols.tail: _*)
-    } else if (q.select.nonEmpty) {
+    } else {
+      // The answer: a frame over the scanned rows, which runs no job until read.
       val lineage = result.columns.filter(c => c == "__ltid" || c == "__rtid" || c == tidC)
       val withCands = q.select.flatMap { s =>
         Seq(s) ++ (if (result.columns.contains(ProbData.candCol(s))) Seq(ProbData.candCol(s)) else Nil)
       }
-      result = result.select((lineage ++ withCands).distinct.map(col): _*)
+      val cols = if (q.select.isEmpty) result.columns.toSeq else (lineage ++ withCands).distinct.toSeq
+      result = ReproCheckpoint.scan(result, cols.map(col)).frame
     }
 
     lastReport = ExecReport(plan, reports.toSeq)
@@ -252,7 +254,8 @@ final class Daisy(val spark: SparkSession,
     */
   private def cleanSelectDc(table: String, dc: InequalityDc, answer: Column): RuleReport = {
     val (rec, answerTids) = dcRecords.get((table, dc.id)) match {
-      case Some(r) => (r, states(table).filter(answer).select(col(tidC)).collect().toSeq.map(_.getLong(0)))
+      case Some(r) => (r, ReproCheckpoint.scan(states(table).filter(answer), Seq(col(tidC))).collect()
+        .toSeq.map(_.getLong(0)))
       case None =>
         val (b, tids) = ThetaJoin.bucketizeWithAnswer(states(table), dc, opts.dcPartitions, answer)
         (Daisy.DcRecord(b, dc), tids)

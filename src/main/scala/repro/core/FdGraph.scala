@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
@@ -47,33 +48,36 @@ object FdGraph {
   def dirtyLhsFlag(state: DataFrame, fd: Fd): Column =
     if (fd.lhs.size == 1) dirtyFlag(state, fd.lhs.head) else lit(false)
 
-  /** Collects the signatures of every tuple; `member` marks the answer. */
+  /** Collects the signatures of every tuple; `member` marks the answer.
+    * Each task counts its distinct signatures over the scanned rows, and
+    * the driver merges the counts and converts each distinct signature
+    * once.
+    */
   def collect(state: DataFrame, fd: Fd, member: Column): FdGraph = {
     val in = coalesce(member, lit(false))
-    val rows = state.select(
+    val rows = ReproCheckpoint.scan(state, Seq(
       baseLhs(fd), baseRhs(fd), Relaxation.lhsValues(state, fd),
       ProbData.valuesExpr(state, fd.rhs), coalesce(ProbData.checkedBy(fd.id), lit(false)),
-      dirtyFlag(state, fd.rhs), dirtyLhsFlag(state, fd), in)
-    val partial = rows.rdd.mapPartitions(countSignatures).collect()
-    val sigs = partial.groupMapReduce(_.copy(cnt = 0L))(_.cnt)(_ + _)
-      .map { case (s, n) => s.copy(cnt = n) }.toIndexedSeq
+      dirtyFlag(state, fd.rhs), dirtyLhsFlag(state, fd), in)).rows
+    val counts = rows.mapPartitions { it =>
+      val n = mutable.HashMap[InternalRow, Long]()
+      // Scanned rows are reused: a new signature is copied.
+      it.foreach(r => n.get(r) match {
+        case Some(c) => n(r) = c + 1L
+        case None => n(r.copy()) = 1L
+      })
+      n.iterator
+    }.collect()
+    val sigs = counts.groupMapReduce(_._1)(_._2)(_ + _).map { case (r, n) =>
+      Sig(ProbData.string(r, 0), ProbData.string(r, 1), ProbData.strings(r.getArray(2)),
+        ProbData.strings(r.getArray(3)), r.getBoolean(4), r.getBoolean(5), r.getBoolean(6), r.getBoolean(7), n)
+    }.toIndexedSeq
     new FdGraph(state, fd, in, sigs)
-  }
-
-  /** Per-partition signature counts. */
-  private def countSignatures(rows: Iterator[Row]): Iterator[Sig] = {
-    val counts = mutable.HashMap[Row, Long]()
-    rows.foreach(r => counts(r) = counts.getOrElse(r, 0L) + 1L)
-    counts.iterator.map { case (r, n) =>
-      Sig(r.getString(0), r.getString(1), r.getSeq[String](2).toVector,
-        r.getSeq[String](3).toVector, r.getBoolean(4), r.getBoolean(5), r.getBoolean(6),
-        r.getBoolean(7), n)
-    }
   }
 
   /** Membership in the tids of `tids`' first column, collected to the driver. */
   def memberOf(tids: DataFrame): Column = {
-    val ids = tids.select(col(tids.columns.head)).collect()
+    val ids = ReproCheckpoint.scan(tids, Seq(col(tids.columns.head))).collect()
       .collect { case r if !r.isNullAt(0) => r.getLong(0) }.distinct
     col(ProbData.TidCol).isin(ids.toSeq: _*)
   }

@@ -3,10 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, Row}
 import org.apache.spark.sql.api.java.UDF1
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{BindReferences, BoundReference, Expression,
-  GenericInternalRow, InterpretedUnsafeProjection}
-import org.apache.spark.sql.catalyst.optimizer.OptimizeIn
-import org.apache.spark.sql.catalyst.plans.logical.Project
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, GenericInternalRow, InterpretedUnsafeProjection}
 import org.apache.spark.sql.catalyst.util.{ArrayData, GenericArrayData}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -184,22 +181,18 @@ object ProbData {
     * `mark` becomes checked by `ruleId`, and the result has the state's
     * columns. `key` and `mark` read the row before the update.
     *
-    * `key` and `mark` are resolved against the state's columns, with
-    * `isin` lists turned into hash sets, and evaluated on each of the
-    * state's internal rows; nothing is compiled for them, and no cell
-    * without a fix is converted. The result is a frame over the updated
+    * `key` and `mark` are bound by [[ReproCheckpoint.scan]] and evaluated
+    * on each of the state's internal rows; nothing is compiled for them,
+    * and no cell without a fix is converted. The result is a frame over the updated
     * rows, checkpointed lazily: no job runs now, the first action that
     * reads it stores it, and there is no plan above the rows to analyse
     * or compile.
     */
   def applyFixTable(state: DataFrame, key: Column, fixes: Map[Any, Seq[Seq[Row]]], attrs: Seq[String],
                     ruleId: String, mark: Column)(update: (ArrayData, ArrayData) => ArrayData): DataFrame = {
-    // Bound to the positions of the state's rows: the root of a plan keeps
-    // its output through optimization, so `toRdd` rows have them too.
-    val (keyOf, markOf) = OptimizeIn(state.select(key, mark).queryExecution.analyzed) match {
-      case Project(Seq(k, m), child) => (BindReferences.bindReference[Expression](k, child.output),
-        BindReferences.bindReference[Expression](m, child.output))
-    }
+    // Bound to the positions of the state's rows, which are the scan's input.
+    val scan = ReproCheckpoint.scan(state, Seq(key, mark))
+    val Seq(keyOf, markOf) = scan.exprs
     val keyType = keyOf.dataType
     val table = state.sparkSession.sparkContext.broadcast(fixes.map { case (k, fs) =>
       k -> fs.map(f => candsToCatalyst(f).asInstanceOf[ArrayData]).toArray
@@ -211,7 +204,7 @@ object ProbData {
       case (f, i) => if (cands.contains(i)) f.copy(nullable = true) else f
     })
     val types = schema.map(_.dataType).toArray
-    val rows = state.queryExecution.toRdd.mapPartitions[InternalRow] { it =>
+    val rows = scan.input.mapPartitions[InternalRow] { it =>
       val toScala = CatalystTypeConverters.createToScalaConverter(keyType)
       val toUnsafe = InterpretedUnsafeProjection.createProjection(types.indices.map(i =>
         BoundReference(i, types(i), nullable = true)))
@@ -231,6 +224,14 @@ object ProbData {
     }
     ReproCheckpoint.checkpointed(state.sparkSession, rows, schema)
   }
+
+  /** The string at `i` of a scanned row, null for null. */
+  private[core] def string(row: InternalRow, i: Int): String =
+    if (row.isNullAt(i)) null else row.getUTF8String(i).toString
+
+  /** A scanned array of strings, nulls kept. */
+  private[core] def strings(a: ArrayData): Vector[String] =
+    a.toArray[UTF8String](StringType).iterator.map(s => if (s == null) null else s.toString).toVector
 
   /** True for the tuples whose `key` is in `keys`, shipped as a broadcast
     * variable: unlike an `isin` list, the plan's code does not change

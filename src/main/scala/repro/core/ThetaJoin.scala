@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -82,7 +83,7 @@ object ThetaJoin {
     * null. A negative zero reads as 0.0, as Spark SQL's grouping
     * normalizes it; the two compare equal anyway.
     */
-  private def valuesOf(r: Row, from: Int, n: Int): IndexedSeq[Option[Double]] =
+  private def valuesOf(r: InternalRow, from: Int, n: Int): IndexedSeq[Option[Double]] =
     (from until from + n).map(i => if (r.isNullAt(i)) None else Some(r.getDouble(i) + 0.0))
 
   private def pointOf(tid: Long, b: Int, vs: IndexedSeq[Option[Double]]): Point =
@@ -110,7 +111,7 @@ object ThetaJoin {
     val axis = dc.atoms.head.attr
     val nAttrs = dc.attrs.size
     val nRanges = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
-    val collected = df.select((col(tidC) +: attrCols(dc)) :+ coalesce(answer, lit(false)): _*).collect()
+    val collected = ReproCheckpoint.scan(df, (col(tidC) +: attrCols(dc)) :+ coalesce(answer, lit(false))).collect()
     val answerTids = collected.toSeq.collect { case r if r.getBoolean(1 + nAttrs) => r.getLong(0) }
     val rows = collected.filter(r => !r.isNullAt(1 + dc.attrs.indexOf(axis)))
     val vals = rows.map(valuesOf(_, 1, nAttrs))
@@ -230,8 +231,8 @@ object ThetaJoin {
   def violations(df: DataFrame, dc: InequalityDc, pairs: Seq[(Int, Int)],
                  stats: Seq[BucketStat]): DataFrame = {
     val seenCol = if (df.columns.contains("__seen")) coalesce(col("__seen"), lit(true)) else lit(false)
-    val rows = df.filter(col("__b").isNotNull)
-      .select((Seq(col(tidC), col("__b"), seenCol) ++ attrCols(dc)): _*).collect()
+    val rows = ReproCheckpoint.scan(df.filter(col("__b").isNotNull),
+      Seq(col(tidC), col("__b"), seenCol) ++ attrCols(dc)).collect()
     val seen = rows.collect { case r if r.getBoolean(2) => r.getLong(0) }.toSet
     val points = rows.map(r => pointOf(r.getLong(0), r.getInt(1), valuesOf(r, 3, dc.attrs.size)))
     violationsDf(df.sparkSession, dc, violationsOf(points, seen, dc, pairs))

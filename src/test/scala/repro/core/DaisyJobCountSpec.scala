@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.SparkSpec
 import repro.data.{Hospital, SSB}
@@ -56,6 +57,13 @@ class DaisyJobCountSpec extends SparkSpec {
   }
 
   private def jobsOf[A](f: => A): (A, Int) = { val (a, jobs, _) = countsOf(f); (a, jobs) }
+
+  /** `f`'s result and the classes Spark's code generator compiled for it. */
+  private def compilesOf[A](f: => A): (A, Long) = {
+    val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    val a = f
+    (a, CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before)
+  }
 
   test("φ1 on hospital: a cleaned query runs ≤ 2 jobs, a settled one 1") {
     val data = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
@@ -200,6 +208,25 @@ class DaisyJobCountSpec extends SparkSpec {
     assert(res.count() == 4)
     assert(jobs <= 5, s"SPJ query that re-joins ran $jobs jobs")
     assert(stages <= 5, s"SPJ query that re-joins ran $stages stages")
+  }
+
+  test("execute compiles no class for a cleaned φ1 query or a DC band query with new literals") {
+    val hospital = Hospital.generate(spark, nHospitals = 40, rowsPer = 4,
+      nTie = 4, nMinority = 4, nZipErr = 4)
+    val fdSession = Daisy.single(spark, "hospital", hospital.dirty, Seq(Hospital.Phi1))
+    val (_, fd) = compilesOf(fdSession.execute(QuerySpec("hospital",
+      where = Seq(Pred("hospital_type", "!=", "type_3")), select = Seq("zip", "city", "provider_id"))))
+    assert(!fdSession.lastReport.perRule.head.skippedByPruning)
+    assert(fd == 0, s"a cleaned φ1 query compiled $fd classes")
+
+    val lineorder = SSB.lineorder(spark, nRows = 400, nOrderkeys = 20, nSuppkeys = 10,
+      discountErrPct = 0.05)
+    val dcSession = Daisy.single(spark, "lo", lineorder.dirty, Seq(SSB.PriceDiscountDc))
+    // Bounds that no other query of the test suites uses.
+    val (_, dc) = compilesOf(dcSession.execute(QuerySpec("lo", select = Seq("extendedprice", "discount"),
+      where = Seq(Pred("extendedprice", ">=", "31337"), Pred("extendedprice", "<", "52711")))))
+    assert(dcSession.lastReport.perRule.head.dcDecision.nonEmpty)
+    assert(dc == 0, s"a DC band query compiled $dc classes")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {
