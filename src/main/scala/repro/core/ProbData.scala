@@ -183,10 +183,10 @@ object ProbData {
     *
     * `key` and `mark` are bound by [[ReproCheckpoint.scan]] and evaluated
     * on each of the state's internal rows; nothing is compiled for them,
-    * and no cell without a fix is converted. The result is a frame over the updated
-    * rows, checkpointed lazily: no job runs now, the first action that
-    * reads it stores it, and there is no plan above the rows to analyse
-    * or compile.
+    * and no cell without a fix is converted. The result is a frame over
+    * the updated rows, checkpointed lazily: no job runs now, the first
+    * action that reads it stores it, and there is no plan above the rows
+    * to analyse or compile.
     */
   def applyFixTable(state: DataFrame, key: Column, fixes: Map[Any, Seq[Seq[Row]]], attrs: Seq[String],
                     ruleId: String, mark: Column)(update: (ArrayData, ArrayData) => ArrayData): DataFrame = {

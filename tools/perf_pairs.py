@@ -6,13 +6,14 @@
 For every seed it runs `perfbench/run.py --workload W --seed S --seconds N
 --trace T` once in each checkout, the parent first on even positions and
 the change first on odd ones, and records each run's correctness, its
-metrics and its session count (the "# session k" lines: a second session
-runs only when the first ends within --seconds, and session_s is then
-the median of both, so the count is reported with the times). The runs
-are appended to --out as one batch; the file also gets, per batch and per
-workload over all its batches, each side's median and quartiles of every
-metric and the pairs in which the change is better (ties count for
-neither side). Which way is better comes from BENCHMARK.json.
+metrics, its per-session and per-query log lines and its session count
+(the "# session k" lines: a second session runs only when the first ends
+within --seconds, and session_s is then the median of both, so the count
+is reported with the times). The runs are appended to --out as one batch;
+the file also gets, per batch and per workload over all its untraced
+batches, each side's median and quartiles of every metric and the pairs
+in which the change is better (ties count for neither side). Which way is
+better comes from BENCHMARK.json.
 """
 
 import argparse
@@ -70,6 +71,7 @@ def run_once(checkout, workload, seed, seconds, trace):
     return {"ok": proc.returncode == 0 and result["correct"] and result["failed"] == 0,
             "exit": proc.returncode, "attempted": result["attempted"], "failed": result["failed"],
             "sessions": sessions,
+            "log": [l[2:] for l in lines if re.match(r"# (session \d+|traced)", l)],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -117,8 +119,8 @@ def main():
     doc.setdefault("what", args.what)
     doc.setdefault("parent", revision(args.parent))
     doc.setdefault("change", revision(args.change))
-    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds} --trace {args.trace}, in each checkout")
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds N --trace T, "
+                   "in each checkout; each batch gives its N and T")
     doc.setdefault("batches", [])
 
     runs = []
@@ -133,7 +135,8 @@ def main():
                   " ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items() if k.endswith("_s")),
                   flush=True)
     doc["batches"].append({"workload": args.workload, "label": args.label, "seeds": args.seeds,
-                           "trace": args.trace, "runs": runs, "summary": summary(runs, better)})
+                           "seconds": args.seconds, "trace": args.trace, "runs": runs,
+                           "summary": summary(runs, better)})
     doc["by_workload"] = {
         w: summary([r for b in doc["batches"] if b["workload"] == w and b["trace"] == 0
                     for r in b["runs"]], better)
