@@ -20,7 +20,7 @@ import org.apache.spark.sql.types.StructType
   * checkpoint generation, until Catalyst spends minutes multiplying
   * million-digit BigIntegers during planning.
   *
-  * This helper checkpoints like `localCheckpoint(eager)` but rebuilds
+  * [[statsFree]] checkpoints like `localCheckpoint` but rebuilds
   * the DataFrame directly from the checkpointed internal-row RDD,
   * dropping the inherited statistics (the leaf then reports the
   * session's `spark.sql.defaultSizeInBytes`). It lives in the
@@ -29,17 +29,20 @@ import org.apache.spark.sql.types.StructType
   * frames built over internal rows, and `classic.Dataset.ofRows`, which
   * [[scan]] plans a frame's input with.
   *
-  * An eager checkpoint runs one job now. A lazy one runs none: the first
-  * later action that reads the frame computes and stores its blocks and
-  * then truncates its lineage, and Spark's `LocalRDDCheckpointData` fills
-  * in any partition that action skipped. Until then the frame's lineage,
-  * and so its parents' blocks, must stay available.
+  * [[statsFree]] runs one job now. A lazy checkpoint ([[checkpointed]])
+  * runs none: the first later action that reads the frame computes and
+  * stores its blocks and then truncates its lineage, and Spark's
+  * `LocalRDDCheckpointData` fills in any partition that action skipped.
+  * Until then the frame's lineage, and so its parents' blocks, must stay
+  * available.
   */
 object ReproCheckpoint {
-  def statsFree(df: Dataset[Row], eager: Boolean = true): Dataset[Row] = {
-    val classicDf = df.asInstanceOf[classic.Dataset[Row]]
-    val ck = classicDf.localCheckpoint(eager).asInstanceOf[classic.Dataset[Row]]
-    fromRows(ck.sparkSession, ck.queryExecution.toRdd, ck.schema)
+  /** `df` checkpointed now, by one job. The frame is a leaf over the
+    * checkpoint's own rows, so reading them plans and compiles nothing.
+    */
+  def statsFree(df: Dataset[Row]): Dataset[Row] = {
+    val ck = df.asInstanceOf[classic.Dataset[Row]].localCheckpoint(eager = true).asInstanceOf[classic.Dataset[Row]]
+    ck.queryExecution.logical match { case l: LogicalRDD => fromRows(ck.sparkSession, l.rdd, ck.schema) }
   }
 
   /** A frame whose plan is one leaf over `rows`, which must have `schema`. */
@@ -47,19 +50,19 @@ object ReproCheckpoint {
     spark.asInstanceOf[classic.SparkSession].internalCreateDataFrame(rows, schema)
 
   /** A frame over copies of `rows`, which must have `schema`, checkpointed
-    * lazily as [[statsFree]] with `eager = false` checkpoints a frame's
-    * rows, but with no frame to plan. Like `Dataset.localCheckpoint`, it
+    * lazily: no job runs now. Like `Dataset.localCheckpoint`, it
     * checkpoints a copying step of its own, so once the lineage is
     * truncated nothing holds on to what the producer of `rows` captured.
     */
   def checkpointed(spark: SparkSession, rows: RDD[InternalRow], schema: StructType): Dataset[Row] =
     fromRows(spark, rows.map(_.copy()).localCheckpoint(), schema)
 
-  /** Materializes a lazy [[statsFree]] checkpoint in place: one job over
-    * every partition of `df`, which stores the checkpoint's blocks.
+  /** Materializes a lazy [[checkpointed]] frame in place: one job counts
+    * the rows of every partition through [[scan]], which stores the
+    * checkpoint's blocks.
     */
   def materialize(df: Dataset[Row]): Dataset[Row] = {
-    df.asInstanceOf[classic.Dataset[Row]].queryExecution.toRdd.count()
+    scan(df, Nil).input.count()
     df
   }
 

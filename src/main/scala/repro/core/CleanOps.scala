@@ -42,8 +42,7 @@ object CleanOps {
   def incrementalJoin(existing: DataFrame, left: DataFrame, rightExtra: DataFrame,
                       leftKey: String, rightKey: String): DataFrame = {
     val j = lookupJoin(left, rightExtra, leftKey, rightKey, Some(existing.columns.toSeq))
-    val kept = ReproCheckpoint.scan(existing.filter(!ProbData.keyIn(existing, col("__rtid"),
-      j.rightTids.toSet[Any])), existing.columns.toSeq.map(col)).input
+    val kept = ReproCheckpoint.scan(existing.filter(!col("__rtid").isin(j.rightTids: _*)), Nil).input
     val schema = StructType(existing.schema.zip(j.schema).map { case (a, b) =>
       a.copy(nullable = a.nullable || b.nullable)
     })

@@ -101,11 +101,11 @@ object DcRepair {
     */
   private def overwrite(state: DataFrame, fixes: Map[Long, Map[String, Seq[Row]]], marked: Set[Long],
                         dc: InequalityDc): DataFrame = {
-    val table: Map[Any, Seq[Seq[Row]]] = fixes.map { case (tid, byAttr) =>
-      tid -> dc.attrs.map(byAttr.getOrElse(_, null))
-    }
-    ProbData.applyFixTable(state, col(tidC), table, dc.attrs, dc.id,
-      ProbData.keyIn(state, col(tidC), marked.toSet[Any]))((_, fix) => fix)
+    val table = (fixes.keySet ++ marked).map { tid =>
+      val byAttr = fixes.getOrElse(tid, Map.empty[String, Seq[Row]])
+      InternalRow(tid) -> (dc.attrs.map(a => ProbData.toCatalyst(byAttr.getOrElse(a, null))), marked(tid))
+    }.toMap
+    ProbData.applyFixTable(state, Seq(col(tidC)), table, dc.attrs, dc.id)((_, fix) => fix)
   }
 
   /** [[overwrite]] with the fixes of `fixesDf` (rows of [[fixes]]) and the

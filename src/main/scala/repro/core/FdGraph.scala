@@ -11,9 +11,10 @@ import scala.collection.mutable
   * tuple, so relaxation ([[Relaxation.closure]]), detection and repair
   * ([[FdRepair.fixesOf]]) and the §5.2 statistics
   * ([[CostModel.statsOf]]) run on the driver, and the driver holds one
-  * row per distinct signature, not per tuple.
+  * row per distinct signature, not per tuple. `sigCols` are the
+  * signature columns the graph was collected with.
   */
-final class FdGraph private (val state: DataFrame, val fd: Fd, val member: Column,
+final class FdGraph private (val state: DataFrame, val fd: Fd, val sigCols: Seq[Column],
                              val sigs: IndexedSeq[FdGraph.Sig]) {
 
   /** Number of tuples whose signature satisfies `p`. */
@@ -36,9 +37,11 @@ object FdGraph {
     * [[Relaxation.Sep]]), candidate lhs and rhs values, checked by the
     * rule, rhs / single-attribute lhs cell already probabilistic (the
     * confirmations of §4.3), and membership in the caller's answer.
+    * `key` is the tuples' unsafe row of [[sigCols]], by which a pass over
+    * the state finds the signature of each tuple ([[ProbData.lookup]]).
     */
   final case class Sig(lv: String, rv: String, lvs: Seq[String], rvs: Seq[String],
-                       checked: Boolean, dR: Boolean, dL: Boolean, in: Boolean, cnt: Long)
+                       checked: Boolean, dR: Boolean, dL: Boolean, in: Boolean, cnt: Long, key: InternalRow)
 
   def baseLhs(fd: Fd): Column = concat_ws(Relaxation.Sep, fd.lhs.map(col): _*)
   def baseRhs(fd: Fd): Column = col(fd.rhs).cast("string")
@@ -48,17 +51,22 @@ object FdGraph {
   def dirtyLhsFlag(state: DataFrame, fd: Fd): Column =
     if (fd.lhs.size == 1) dirtyFlag(state, fd.lhs.head) else lit(false)
 
+  /** The columns of a tuple's signature, in the order of [[Sig]]'s fields;
+    * `member` marks the answer.
+    */
+  def sigCols(state: DataFrame, fd: Fd, member: Column): Seq[Column] = Seq(
+    baseLhs(fd), baseRhs(fd), Relaxation.lhsValues(state, fd),
+    ProbData.valuesExpr(state, fd.rhs), coalesce(ProbData.checkedBy(fd.id), lit(false)),
+    dirtyFlag(state, fd.rhs), dirtyLhsFlag(state, fd), coalesce(member, lit(false)))
+
   /** Collects the signatures of every tuple; `member` marks the answer.
     * Each task counts its distinct signatures over the scanned rows, and
     * the driver merges the counts and converts each distinct signature
     * once.
     */
   def collect(state: DataFrame, fd: Fd, member: Column): FdGraph = {
-    val in = coalesce(member, lit(false))
-    val rows = ReproCheckpoint.scan(state, Seq(
-      baseLhs(fd), baseRhs(fd), Relaxation.lhsValues(state, fd),
-      ProbData.valuesExpr(state, fd.rhs), coalesce(ProbData.checkedBy(fd.id), lit(false)),
-      dirtyFlag(state, fd.rhs), dirtyLhsFlag(state, fd), in)).rows
+    val cols = sigCols(state, fd, member)
+    val rows = ReproCheckpoint.scan(state, cols).rows
     val counts = rows.mapPartitions { it =>
       val n = mutable.HashMap[InternalRow, Long]()
       // Scanned rows are reused: a new signature is copied.
@@ -70,9 +78,9 @@ object FdGraph {
     }.collect()
     val sigs = counts.groupMapReduce(_._1)(_._2)(_ + _).map { case (r, n) =>
       Sig(ProbData.string(r, 0), ProbData.string(r, 1), ProbData.strings(r.getArray(2)),
-        ProbData.strings(r.getArray(3)), r.getBoolean(4), r.getBoolean(5), r.getBoolean(6), r.getBoolean(7), n)
+        ProbData.strings(r.getArray(3)), r.getBoolean(4), r.getBoolean(5), r.getBoolean(6), r.getBoolean(7), n, r)
     }.toIndexedSeq
-    new FdGraph(state, fd, in, sigs)
+    new FdGraph(state, fd, cols, sigs)
   }
 
   /** Membership in the tids of `tids`' first column, collected to the driver. */

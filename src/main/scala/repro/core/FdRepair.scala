@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.ArrayData
 import scala.collection.mutable
 
 /** FD violation detection and probabilistic repair (§4.1).
@@ -23,36 +24,34 @@ import scala.collection.mutable
   * over the original data (the provenance Daisy maintains) and merged
   * into existing candidate sets afterwards. They run on the driver over
   * the rule's [[FdGraph]]: a tuple's fix depends only on its base
-  * (lv, rv) pair and its two dirty flags, so the fixes are a table
-  * keyed by those four values, applied by one rewrite of the state.
+  * (lv, rv) pair and its two dirty flags, so each fix is computed once
+  * per (lv, rv, dR, dL) and looked up by the signature of each tuple in
+  * one rewrite of the state.
   */
 object FdRepair {
 
-  /** Computed fixes for a tuple subset: the fix table `keys`, one row
-    * (lv, rv, dR, dL, lhs fixes…, rhs fix) per key that receives a fix,
-    * for the tuples of the state satisfying `subset`.
+  /** Computed fixes for a tuple subset: the fix table, which holds for
+    * each signature of the subset its (lv, rv, dR, dL) fix (lhs fixes…,
+    * rhs fix; null where an attribute gets none) and a true checked mark,
+    * keyed by the signature's [[FdGraph.Sig.key]].
     */
   final case class Fixes(
       /** Number of violating (dirty) tuples ε in the subset. */
       nDirty: Long,
       /** Number of violating lhs groups. */
       nDirtyGroups: Long,
-      private[core] keys: Seq[Row], private[core] subset: Column)
+      private[core] table: Map[InternalRow, (Seq[ArrayData], Boolean)])
 
   private def cand(v: String, p: Double, w: String, n: Long): Row = Row(v, "=", p, w, n)
 
   /** Detects violating lhs groups in the subset and computes the
     * probabilistic fixes for every tuple belonging to one.
     */
-  def computeFixes(state: DataFrame, subsetTids: DataFrame, fd: Fd): Fixes = {
-    val g = FdGraph.collect(state, fd, FdGraph.memberOf(subsetTids))
-    fixesOf(g, _.in, g.member)
-  }
+  def computeFixes(state: DataFrame, subsetTids: DataFrame, fd: Fd): Fixes =
+    fixesOf(FdGraph.collect(state, fd, FdGraph.memberOf(subsetTids)), _.in)
 
-  /** The fixes of the graph's tuples selected by `inSubset`; `subset`
-    * is the same selection as a predicate over the graph's state.
-    */
-  def fixesOf(g: FdGraph, inSubset: FdGraph.Sig => Boolean, subset: Column): Fixes = {
+  /** The fixes of the graph's tuples selected by `inSubset`. */
+  def fixesOf(g: FdGraph, inSubset: FdGraph.Sig => Boolean): Fixes = {
     val fd = g.fd
     val sub = g.sigs.filter(inSubset)
 
@@ -83,8 +82,7 @@ object FdRepair {
     // speculative candidate set from zip → city and re-weights the
     // original value ("the probability of each fix must combine the
     // probabilities that stem from all the rules affecting the cell").
-    val keys = sub.map(s => (s.lv, s.rv, s.dR, s.dL)).distinct
-    val rows = keys.flatMap { case (lv, rv, dR, dL) =>
+    val fixes = sub.map(s => (s.lv, s.rv, s.dR, s.dL)).distinct.map { case k @ (lv, rv, dR, dL) =>
       val dirty = rhsCands.contains(lv)
       val multi = rv != null && lhsCands.contains(rv)
       val fixR =
@@ -95,11 +93,11 @@ object FdRepair {
         if (dirty && multi) lhsCands(rv)
         else if (dL && rv != null && !multi) Seq(cand(lv, 1.0, "L", ctx((lv, rv))))
         else null
-      if (fixR == null && fixL == null) None
-      else Some(Row.fromSeq(Seq(lv, rv, dR, dL) ++ lhsParts(fd, fixL) :+ fixR))
-    }
+      k -> (lhsParts(fd, fixL) :+ fixR).map(ProbData.toCatalyst)
+    }.toMap
+    val table = sub.map(s => s.key -> (fixes((s.lv, s.rv, s.dR, s.dL)), true)).toMap
 
-    Fixes(g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size, rows, subset)
+    Fixes(g.count(s => inSubset(s) && rhsCands.contains(s.lv)), rhsCands.size, table)
   }
 
   /** Splits concatenated lhs candidates into per-attribute candidate
@@ -123,24 +121,15 @@ object FdRepair {
     * they are the provenance to the original values.
     */
   def applyFixes(state: DataFrame, fixes: Fixes, subsetTids: DataFrame, fd: Fd): DataFrame =
-    rewrite(state, fd, fixes, FdGraph.memberOf(subsetTids))
+    rewrite(state, fd, FdGraph.sigCols(state, fd, FdGraph.memberOf(subsetTids)), fixes)
 
-  /** A tuple's fix-table key: its (lv, rv, dR, dL) as a struct. */
-  private[core] def fixKey(state: DataFrame, fd: Fd): Column =
-    struct(FdGraph.baseLhs(fd), FdGraph.baseRhs(fd), FdGraph.dirtyFlag(state, fd.rhs),
-      FdGraph.dirtyLhsFlag(state, fd))
-
-  /** The one state rewrite of the FD clean path: the fixes of the
-    * fixed subset, looked up by each tuple's (lv, rv, dR, dL) key, merge
-    * into its candidate sets (union semantics of §4.3), and the tuples
-    * satisfying `mark` become checked by `fd`.
+  /** The one state rewrite of the FD clean path: each tuple looks its
+    * signature, the row of `sigCols`, up in the fix table; a hit merges
+    * its fix into the tuple's candidate sets (union semantics of §4.3)
+    * and marks it checked.
     */
-  def rewrite(state: DataFrame, fd: Fd, fixes: Fixes, mark: Column): DataFrame = {
-    val table: Map[Any, Seq[Seq[Row]]] = fixes.keys.map(r => Row(r(0), r(1), r(2), r(3)) -> r.toSeq.drop(4)
-      .map(_.asInstanceOf[Seq[Row]])).toMap
-    ProbData.applyFixTable(state, when(fixes.subset, fixKey(state, fd)), table, fd.lhs :+ fd.rhs, fd.id,
-      mark)(ProbData.mergeCands)
-  }
+  private def rewrite(state: DataFrame, fd: Fd, sigCols: Seq[Column], fixes: Fixes): DataFrame =
+    ProbData.applyFixTable(state, sigCols, fixes.table, fd.lhs :+ fd.rhs, fd.id)(ProbData.mergeCands)
 
   /** The one FD clean step (§4.1): relaxes the graph's members with
     * Algorithm 1 bounded by `maxIter`, detects and repairs the relaxed
@@ -153,9 +142,8 @@ object FdRepair {
     */
   def clean(g: FdGraph, maxIter: Int): (DataFrame, Relaxation.Closure, Fixes) = {
     val closure = Relaxation.closure(g, maxIter)
-    val subset = closure.member(g) && !ProbData.checkedBy(g.fd.id)
-    val fixes = fixesOf(g, s => closure.contains(s) && !s.checked, subset)
-    (rewrite(g.state, g.fd, fixes, subset), closure, fixes)
+    val fixes = fixesOf(g, s => closure.contains(s) && !s.checked)
+    (rewrite(g.state, g.fd, g.sigCols, fixes), closure, fixes)
   }
 
   /** [[clean]] of every tuple of `state` that `fd` has not checked,
@@ -171,18 +159,19 @@ object FdRepair {
     * group): one signature collection and driver-side fixes for each
     * lhs value of `lvs` until `stop` holds after a group, then one
     * lazily checkpointed rewrite that merges the processed groups' fixes and
-    * marks their tuples checked. Fixes read base values only, so on
-    * those tuples the state equals full cleaning's. `nDirtyGroups` of the
-    * returned fixes counts the processed groups.
+    * marks their tuples checked. A group's tuples are its graph's members,
+    * so the rewrite looks them up with the processed groups as members;
+    * the groups' signatures differ in their lv. Fixes read base values
+    * only, so on those tuples the state equals full cleaning's.
+    * `nDirtyGroups` of the returned fixes counts the processed groups.
     */
   def cleanGroups(state: DataFrame, fd: Fd, lvs: IndexedSeq[String], stop: => Boolean): (DataFrame, Fixes) = {
     val parts = mutable.ArrayBuffer[Fixes]()
-    while (parts.size < lvs.size && (parts.isEmpty || !stop)) {
-      val g = FdGraph.collect(state, fd, FdGraph.baseLhs(fd) === lvs(parts.size))
-      parts += fixesOf(g, _.in, g.member)
-    }
-    val subset = FdGraph.baseLhs(fd).isin(lvs.take(parts.size): _*)
-    val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, parts.flatMap(_.keys).toSeq, subset)
-    (if (parts.isEmpty) state else rewrite(state, fd, fixes, subset), fixes)
+    while (parts.size < lvs.size && (parts.isEmpty || !stop))
+      parts += fixesOf(FdGraph.collect(state, fd, FdGraph.baseLhs(fd) === lvs(parts.size)), _.in)
+    val fixes = Fixes(parts.map(_.nDirty).sum, parts.size, parts.flatMap(_.table).toMap)
+    (if (parts.isEmpty) state
+     else rewrite(state, fd, FdGraph.sigCols(state, fd, FdGraph.baseLhs(fd).isin(lvs.take(parts.size): _*)), fixes),
+     fixes)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint, Row}
-import org.apache.spark.sql.api.java.UDF1
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, GenericInternalRow, InterpretedUnsafeProjection}
 import org.apache.spark.sql.catalyst.util.{ArrayData, GenericArrayData}
@@ -49,11 +49,12 @@ object ProbData {
     /** Eager: one Spark job now. */
     def materialized: DataFrame = ReproCheckpoint.statsFree(df)
 
-    /** Lazy: no job now; the first action that reads the frame stores it
-      * and truncates its lineage. A state that the next step collects
-      * anyway is checkpointed this way, so it costs no job of its own.
+    /** Lazy: no job now; the first action that reads the frame stores its
+      * scanned rows and truncates its lineage. A state that the next step
+      * collects anyway is checkpointed this way, so it costs no job of its own.
       */
-    def checkpointed: DataFrame = ReproCheckpoint.statsFree(df, eager = false)
+    def checkpointed: DataFrame =
+      ReproCheckpoint.checkpointed(df.sparkSession, ReproCheckpoint.scan(df, Nil).input, df.schema)
 
     /** This [[checkpointed]] frame, stored now by one job. */
     def forced: DataFrame = ReproCheckpoint.materialize(df)
@@ -163,40 +164,51 @@ object ProbData {
   private lazy val candsToScala = CatalystTypeConverters.createToScalaConverter(CandType)
   private lazy val candsToCatalyst = CatalystTypeConverters.createToCatalystConverter(CandType)
 
+  /** A candidate set in Catalyst's form, the form of [[applyFixTable]]'s fixes. */
+  private[core] def toCatalyst(cands: Seq[Row]): ArrayData = candsToCatalyst(cands).asInstanceOf[ArrayData]
+
   /** [[mergeCandSeqs]] over candidate sets in Catalyst's form, the form
     * [[applyFixTable]] hands to its update: converts the two sets of one
     * cell and the merged set.
     */
   private[core] def mergeCands(a: ArrayData, b: ArrayData): ArrayData =
-    candsToCatalyst(mergeCandSeqs(candsToScala(a).asInstanceOf[Seq[Row]],
-      candsToScala(b).asInstanceOf[Seq[Row]])).asInstanceOf[ArrayData]
+    toCatalyst(mergeCandSeqs(candsToScala(a).asInstanceOf[Seq[Row]], candsToScala(b).asInstanceOf[Seq[Row]]))
+
+  /** The rows of `state`, each with the entry of `table` under its key: the
+    * columns `key`, bound by [[ReproCheckpoint.scan]] and evaluated on the
+    * row, interpreted, as one unsafe row. The table's keys are written as
+    * unsafe rows of the same columns on the driver, and it reaches the tasks
+    * as a broadcast variable, which runs no Spark job. The rows are reused.
+    */
+  private[core] def lookup[A](state: DataFrame, key: Seq[Column],
+                              table: Map[InternalRow, A]): RDD[(InternalRow, Option[A])] = {
+    val scan = ReproCheckpoint.scan(state, key)
+    val types = scan.schema.map(_.dataType)
+    val toKey = InterpretedUnsafeProjection.createProjection(types.indices.map(i =>
+      BoundReference(i, types(i), nullable = true)))
+    val byKey = state.sparkSession.sparkContext.broadcast(table.map { case (k, v) => toKey(k).copy() -> v })
+    val exprs = scan.exprs
+    scan.input.mapPartitions { it =>
+      val keyOf = InterpretedUnsafeProjection.createProjection(exprs)
+      it.map(row => (row, byKey.value.get(keyOf(row))))
+    }
+  }
 
   /** The one candidate-apply step of every rule (§4.3). `fixes` is a
-    * driver-side fix table: per fix key, the new candidate sets of
-    * `attrs` in that order, null for an attribute without a fix. Its sets
-    * are converted to Catalyst's form once, on the driver, and it reaches
-    * the tasks as a broadcast variable, which runs no Spark job.
-    * A tuple whose `key` (null: no fix) has a fix for `a` gets
-    * `update(old, fix)` as the candidate set of `a`, a tuple satisfying
-    * `mark` becomes checked by `ruleId`, and the result has the state's
-    * columns. `key` and `mark` read the row before the update.
+    * driver-side fix table: per key, the new candidate sets of `attrs` in
+    * that order, in Catalyst's form (null for an attribute without a fix),
+    * and whether the tuple becomes checked by `ruleId`. A tuple is looked
+    * up by its row of the columns `key` ([[lookup]]); for each fixed `a` it
+    * gets `update(old, fix)` as the candidate set of `a`. The result has the
+    * state's columns.
     *
-    * `key` and `mark` are bound by [[ReproCheckpoint.scan]] and evaluated
-    * on each of the state's internal rows; nothing is compiled for them,
-    * and no cell without a fix is converted. The result is a frame over
-    * the updated rows, checkpointed lazily: no job runs now, the first
-    * action that reads it stores it, and there is no plan above the rows
-    * to analyse or compile.
+    * Nothing is compiled, and no cell without a fix is converted. The
+    * result is a frame over the updated rows, checkpointed lazily: no job
+    * runs now, the first action that reads it stores it, and there is no
+    * plan above the rows to analyse or compile.
     */
-  def applyFixTable(state: DataFrame, key: Column, fixes: Map[Any, Seq[Seq[Row]]], attrs: Seq[String],
-                    ruleId: String, mark: Column)(update: (ArrayData, ArrayData) => ArrayData): DataFrame = {
-    // Bound to the positions of the state's rows, which are the scan's input.
-    val scan = ReproCheckpoint.scan(state, Seq(key, mark))
-    val Seq(keyOf, markOf) = scan.exprs
-    val keyType = keyOf.dataType
-    val table = state.sparkSession.sparkContext.broadcast(fixes.map { case (k, fs) =>
-      k -> fs.map(f => candsToCatalyst(f).asInstanceOf[ArrayData]).toArray
-    })
+  def applyFixTable(state: DataFrame, key: Seq[Column], fixes: Map[InternalRow, (Seq[ArrayData], Boolean)],
+                    attrs: Seq[String], ruleId: String)(update: (ArrayData, ArrayData) => ArrayData): DataFrame = {
     val cands = attrs.map(a => state.columns.indexOf(candCol(a))).toArray
     val chk = state.columns.indexOf(ChkCol)
     val id = UTF8String.fromString(ruleId)
@@ -204,18 +216,17 @@ object ProbData {
       case (f, i) => if (cands.contains(i)) f.copy(nullable = true) else f
     })
     val types = schema.map(_.dataType).toArray
-    val rows = scan.input.mapPartitions[InternalRow] { it =>
-      val toScala = CatalystTypeConverters.createToScalaConverter(keyType)
+    val rows = lookup(state, key, fixes).mapPartitions[InternalRow] { it =>
       val toUnsafe = InterpretedUnsafeProjection.createProjection(types.indices.map(i =>
         BoundReference(i, types(i), nullable = true)))
-      it.map { row =>
-        val (k, m) = (keyOf.eval(row), markOf.eval(row))
+      it.map { case (row, hit) =>
         val out = new GenericInternalRow(Array.tabulate[Any](types.length)(i => row.get(i, types(i))))
-        if (k != null) for (fix <- table.value.get(toScala(k)); i <- cands.indices if fix(i) != null)
-          out.update(cands(i), update(out.getArray(cands(i)), fix(i)))
-        if (m == true && !out.isNullAt(chk)) {
-          val marks = out.getArray(chk).toArray[UTF8String](StringType) :+ id
-          out.update(chk, new GenericArrayData(marks.distinct.toArray[Any]))
+        for ((fix, mark) <- hit) {
+          for (i <- cands.indices if fix(i) != null) out.update(cands(i), update(out.getArray(cands(i)), fix(i)))
+          if (mark && !out.isNullAt(chk)) {
+            val marks = out.getArray(chk).toArray[UTF8String](StringType) :+ id
+            out.update(chk, new GenericArrayData(marks.distinct.toArray[Any]))
+          }
         }
         // `out` holds values of `row`, which the producer reuses: written
         // out before the next row.
@@ -232,15 +243,6 @@ object ProbData {
   /** A scanned array of strings, nulls kept. */
   private[core] def strings(a: ArrayData): Vector[String] =
     a.toArray[UTF8String](StringType).iterator.map(s => if (s == null) null else s.toString).toVector
-
-  /** True for the tuples whose `key` is in `keys`, shipped as a broadcast
-    * variable: unlike an `isin` list, the plan's code does not change
-    * with the keys, so it compiles once.
-    */
-  def keyIn(state: DataFrame, key: Column, keys: Set[Any]): Column = {
-    val set = state.sparkSession.sparkContext.broadcast(keys)
-    udf(new UDF1[Any, Boolean] { def call(k: Any): Boolean = set.value(k) }, BooleanType)(key)
-  }
 
   /** True for tuples already checked by `ruleId`. */
   def checkedBy(ruleId: String): Column = array_contains(col(ChkCol), ruleId)

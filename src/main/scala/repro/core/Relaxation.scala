@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, ReproCheckpoint}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
@@ -49,14 +50,6 @@ object Relaxation {
 
     def contains(s: FdGraph.Sig): Boolean =
       s.in || s.lvs.exists(lhsVals) || s.rvs.exists(rhsVals)
-
-    /** [[contains]] as a predicate over the graph's state. */
-    def member(g: FdGraph): Column = {
-      def overlaps(values: Column, vs: Set[String]) =
-        if (vs.isEmpty) lit(false) else arrays_overlap(values, typedLit(vs.toSeq.sorted))
-      coalesce(g.member || overlaps(lhsValues(g.state, g.fd), lhsVals) ||
-        overlaps(ProbData.valuesExpr(g.state, g.fd.rhs), rhsVals), lit(false))
-    }
   }
 
   /** Algorithm 1 as a breadth-first search over lhs and rhs value nodes.
@@ -93,10 +86,15 @@ object Relaxation {
     Closure(iter, extra, startL, startR)
   }
 
-  /** The relaxed result of `c` as tid frames over the graph's state. */
+  /** The relaxed result of `c` as lazily checkpointed tid frames, from
+    * one lookup of each tuple of the graph's state by its signature.
+    */
   def relaxed(g: FdGraph, c: Closure): Relaxed = {
-    def tids(p: Column) = g.state.filter(p).select(ProbData.TidCol)
-    Relaxed(tids(c.member(g)), tids(c.member(g) && !g.member), c.iterations, c.extraCount)
+    val (tid, schema) = (g.state.columns.indexOf(ProbData.TidCol), g.state.select(ProbData.TidCol).schema)
+    val hits = ProbData.lookup(g.state, g.sigCols, g.sigs.filter(c.contains).map(s => s.key -> s.in).toMap)
+    def tids(p: Boolean => Boolean) = ReproCheckpoint.checkpointed(g.state.sparkSession,
+      hits.collect { case (r, Some(in)) if p(in) => InternalRow(r.getLong(tid)) }, schema)
+    Relaxed(tids(_ => true), tids(!_), c.iterations, c.extraCount)
   }
 
   /** Algorithm 1. `answerTids` is a single-column DataFrame of the

@@ -227,6 +227,17 @@ class DaisyJobCountSpec extends SparkSpec {
       where = Seq(Pred("extendedprice", ">=", "31337"), Pred("extendedprice", "<", "52711")))))
     assert(dcSession.lastReport.perRule.head.dcDecision.nonEmpty)
     assert(dc == 0, s"a DC band query compiled $dc classes")
+
+    // Nor does an SPJ query (Example 6): both sides are cleaned, then the
+    // changed employees re-join.
+    val spjSession = new Daisy(spark,
+      Map("cities" -> TestData.citiesJoin(spark), "emp" -> TestData.employees(spark)),
+      Map("cities" -> Seq(TestData.cityFd), "emp" -> Seq(TestData.empFd)))
+    val (_, spj) = compilesOf(spjSession.execute(QuerySpec("cities",
+      where = Seq(Pred("city", "=", "Los Angeles")), select = Seq("zip", "ename"),
+      join = Some(JoinSpec("emp", "zip", "ezip")))))
+    assert(spjSession.lastReport.perRule.map(_.skippedByPruning) == Seq(false, false))
+    assert(spj == 0, s"an SPJ query that re-joins compiled $spj classes")
   }
 
   test("per-group offline cleaning runs one job per dirty group plus a constant") {

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.api.java.UDF2
+import org.apache.spark.sql.catalyst.CatalystTypeConverters
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -28,21 +29,23 @@ object FdReference {
   }, ProbData.CandType)
 
   /** The kernel's fixes in the form of [[RefFixes]]: (tid, fix columns),
-    * one row per tuple of `state` in the fixed subset whose
-    * (lv, rv, dR, dL) key has a row in the fix table; a null rv key
-    * matches a null rv.
+    * one row per tuple of `state` whose signature, with `member` marking
+    * the answer of the graph the fixes came from, has a fix in the fix
+    * table. The signatures are matched as structs by a join.
     */
-  def fixTable(state: DataFrame, fd: Fd, fixes: FdRepair.Fixes): DataFrame = {
+  def fixTable(state: DataFrame, fd: Fd, member: Column, fixes: FdRepair.Fixes): DataFrame = {
     val fixCols = (fd.lhs :+ fd.rhs).map(fixCol)
-    val byKey = state.sparkSession.createDataFrame(fixes.keys.asJava,
-      StructType(Seq(StructField("__lv", StringType), StructField("__rv", StringType),
-        StructField("__dR", BooleanType), StructField("__dL", BooleanType)) ++
-        fixCols.map(StructField(_, ProbData.CandType))))
-    state.select(col(tidC), FdGraph.baseLhs(fd).as("__klv"), FdGraph.baseRhs(fd).as("__krv"),
-        FdGraph.dirtyFlag(state, fd.rhs).as("__kdR"), FdGraph.dirtyLhsFlag(state, fd).as("__kdL"),
-        fixes.subset.as("__ksub"))
-      .join(byKey, col("__klv") === col("__lv") && col("__krv") <=> col("__rv") &&
-        col("__kdR") === col("__dR") && col("__kdL") === col("__dL") && col("__ksub"))
+    val key = struct(FdGraph.sigCols(state, fd, member): _*)
+    val keyType = state.select(key).schema.head.dataType
+    val (toKey, toCands) = (CatalystTypeConverters.createToScalaConverter(keyType),
+      CatalystTypeConverters.createToScalaConverter(ProbData.CandType))
+    val rows = fixes.table.toSeq.collect { case (k, (fs, _)) if fs.exists(_ != null) =>
+      Row.fromSeq(toKey(k) +: fs.map(toCands))
+    }
+    val byKey = state.sparkSession.createDataFrame(rows.asJava,
+      StructType(StructField("__key", keyType) +: fixCols.map(StructField(_, ProbData.CandType))))
+    state.select(col(tidC), key.as("__k"))
+      .join(byKey, col("__k") <=> col("__key"))
       .select((col(tidC) +: fixCols.map(col)): _*)
   }
 

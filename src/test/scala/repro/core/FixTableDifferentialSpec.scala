@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.ArrayData
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.scalacheck.Gen
@@ -12,10 +14,11 @@ import scala.jdk.CollectionConverters._
 /** The row-level candidate-apply kernel ([[ProbData.applyFixTable]])
   * against the Catalyst-projection reference ([[FixTableReference]]) on
   * ScalaCheck-seeded small states:
-  *  - FD merge keyed by (lv, rv, dR, dL), with a one- or two-attribute
-  *    lhs and null rhs values, and DC overwrite keyed by tid;
-  *  - fix tables that are empty, that hold keys no tuple has, and that
-  *    fix only some attributes of a key;
+  *  - FD merge keyed by [[FdGraph]] signature, with a one- or
+  *    two-attribute lhs and null rhs values, and DC overwrite keyed by
+  *    tid;
+  *  - fix tables that are empty, that hold keys no tuple has, that fix
+  *    only some attributes of a key, and whose keys are marked or not;
   *  - null, empty and probabilistic sidecars, and tuples the rule
   *    already checked;
   *  - states read from a checkpoint, from a projection over one (as
@@ -47,11 +50,11 @@ class FixTableDifferentialSpec extends SeededSpec {
       chk <- Gen.someOf(ruleId, "g")
     } yield Row.fromSeq(Seq(s"a$a", s"b$b", c.map(v => s"c$v").orNull) ++ cs :+ chk.toSeq.sorted))
     keyed <- Gen.someOf(0L until n.toLong)
-    marked <- Gen.someOf(0L until n.toLong)
     fixes <- Gen.listOfN(n + 1, Gen.listOfN(3,
       Gen.frequency(1 -> Gen.const(null: Seq[Row]), 3 -> cands.map(Option(_).getOrElse(Nil)))))
+    marks <- Gen.listOfN(n + 1, Gen.oneOf(true, false))
   } yield Case(rows.zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq) },
-    keyed.toSet, marked.toSet, fixes)
+    keyed.toSet, fixes, marks)
 
   private val schema = StructType(Seq(StructField(TidCol, LongType, nullable = false)) ++
     Seq("a", "b", "c").map(StructField(_, StringType)) ++
@@ -79,36 +82,37 @@ class FixTableDifferentialSpec extends SeededSpec {
     case _ => InequalityDc(ruleId, Seq(Atom("a", "<"), Atom("c", ">")))
   }
 
-  /** The fix table's keys: every fourth seed's table is empty, and the
-    * others hold the keys of the keyed tuples and one no tuple has.
+  /** The fix table: every fourth seed's table is empty, and the others
+    * hold the keys of the keyed tuples and one no tuple has, each with
+    * its fixes and its mark.
     */
-  private def fixTable(keys: Seq[Any], absent: Any, c: Case, seed: Long, width: Int): Map[Any, Seq[Seq[Row]]] =
+  private def fixTable(keys: Seq[InternalRow], absent: InternalRow, c: Case, seed: Long,
+                       width: Int): Map[InternalRow, (Seq[ArrayData], Boolean)] =
     if (seed % 4 == 0) Map.empty
-    else (keys.distinct :+ absent).zip(c.fixes).map { case (k, fs) => k -> fs.take(width) }.toMap
+    else (keys.distinct :+ absent).lazyZip(c.fixes).lazyZip(c.marks).map { case (k, fs, m) =>
+      k -> (fs.take(width).map(ProbData.toCatalyst), m)
+    }.toMap
 
   /** The input state and the kernel's and the reference's results on one seed. */
   private def results(seed: Long): (DataFrame, DataFrame, DataFrame) = {
     val c = sample(caseGen, seed)
     val st = stateOf(c, seed)
-    val tid = col(TidCol)
-    val keyed = tid.isin(c.keyed.toSeq: _*)
     ruleOf(seed) match {
       case fd: Fd =>
-        val key = when(keyed, FdRepair.fixKey(st, fd))
-        val keys = st.filter(keyed).select(FdRepair.fixKey(st, fd)).collect()
-          .map(r => Row.fromSeq(r.getStruct(0).toSeq))
-        val table = fixTable(keys.toSeq, Row("none", null, false, false), c, seed, fd.attrs.size)
-        // A null mark on the marked tuples whose rhs is null.
-        val mark = tid.isin(c.marked.toSeq: _*) && col("c") =!= "c0"
-        (st, ProbData.applyFixTable(st, key, table, fd.lhs :+ fd.rhs, fd.id, mark)(ProbData.mergeCands),
-          FixTableReference.applyFixTable(st, key, table, fd.lhs :+ fd.rhs, fd.id, mark)(ProbData.mergeCandSeqs))
+        // As in FdRepair: the keyed tuples' signatures, with the keyed
+        // tuples as the graph's members, and one of a tuple not in the state.
+        val g = FdGraph.collect(st, fd, col(TidCol).isin(c.keyed.toSeq: _*))
+        val none = spark.createDataFrame(Seq(Row(-1L, "none", "b0", null, null, null, null, Nil)).asJava, schema)
+        val absent = FdGraph.collect(none, fd, lit(true)).sigs.head.key
+        val table = fixTable(g.sigs.filter(_.in).map(_.key), absent, c, seed, fd.attrs.size)
+        (st, ProbData.applyFixTable(st, g.sigCols, table, fd.lhs :+ fd.rhs, fd.id)(ProbData.mergeCands),
+          FixTableReference.applyFixTable(st, g.sigCols, table, fd.lhs :+ fd.rhs, fd.id)(ProbData.mergeCandSeqs))
       case dc: InequalityDc =>
-        // As in DcRepair: every tuple's key is its tid, so a bare column.
-        val key = tid
-        val table = fixTable(c.keyed.toSeq.sorted, -1L, c, seed, dc.attrs.size)
-        val mark = ProbData.keyIn(st, tid, c.marked.toSet[Any])
-        (st, ProbData.applyFixTable(st, key, table, dc.attrs, dc.id, mark)((_, fix) => fix),
-          FixTableReference.applyFixTable(st, key, table, dc.attrs, dc.id, mark)((_, fix) => fix))
+        // As in DcRepair: every tuple's key is its tid.
+        val key = Seq(col(TidCol))
+        val table = fixTable(c.keyed.toSeq.sorted.map(InternalRow(_)), InternalRow(-1L), c, seed, dc.attrs.size)
+        (st, ProbData.applyFixTable(st, key, table, dc.attrs, dc.id)((_, fix) => fix),
+          FixTableReference.applyFixTable(st, key, table, dc.attrs, dc.id)((_, fix) => fix))
     }
   }
 
@@ -138,8 +142,8 @@ class FixTableDifferentialSpec extends SeededSpec {
 object FixTableDifferentialSpec {
 
   /** One generated input: rows (tid, a, b, c, a__c, b__c, c__c, __chk),
-    * the tids whose key is set, the tids to mark, and candidate sets for
-    * the fix table's keys in order (null: no fix for that attribute).
+    * the tids whose key is in the fix table, and candidate sets and marks
+    * for the fix table's keys in order (null: no fix for that attribute).
     */
-  final case class Case(rows: Seq[Row], keyed: Set[Long], marked: Set[Long], fixes: Seq[Seq[Seq[Row]]])
+  final case class Case(rows: Seq[Row], keyed: Set[Long], fixes: Seq[Seq[Seq[Row]]], marks: Seq[Boolean])
 }
